@@ -4,17 +4,15 @@ Constraint rows are pairs ``(a, b)`` over ``Fraction`` meaning
 ``a . x <= b`` with all variables unrestricted in sign.  Equalities are
 expressed as two opposite rows by callers.
 
-Two engines sit behind one interface:
-
-* Fourier-Motzkin elimination with canonical row deduplication — used
-  when the number of unknowns is at most ``FM_CUTOVER``.  Elimination
-  is exact and, on small systems, fast; it also yields variable ranges
-  directly.
-* An exact two-phase simplex over rationals with Bland's rule (free
-  variables split into positive and negative parts) — used above the
-  cutover, where elimination could blow up.
-
-Both report identical answers; the property tests cross-check them.
+The one engine is Fourier-Motzkin elimination with canonical row
+deduplication.  ``projection_chain`` eliminates x_{n-1}, ..., x_1 in
+turn and keeps every intermediate system, so its entry k describes the
+projection of the polyhedron onto x_0..x_k.  Elimination projects
+exactly whatever the order, so the range of x_k over the points that
+extend a fixed x_0..x_{k-1} is a single read of entry k
+(``coordinate_range``); a feasible point is a walk down the chain
+(``feasible_point``), and a depth-first integer sweep reads every
+node's range from the same chain without eliminating again.
 """
 
 from __future__ import annotations
@@ -26,14 +24,18 @@ from typing import Optional, Sequence
 __all__ = [
     "FM_CUTOVER",
     "Row",
-    "fix_prefix",
+    "projection_chain",
+    "coordinate_range",
     "feasible_point",
     "variable_range",
 ]
 
-FM_CUTOVER = 12
+# Elimination serves every system size.  Only perfbench/spans.py reads
+# this name, to count calls above it as simplex calls (there are none).
+FM_CUTOVER = math.inf
 
 Row = tuple[tuple[Fraction, ...], Fraction]
+Interval = tuple[Optional[Fraction], Optional[Fraction]]
 
 
 def _canon(a: Sequence[Fraction], b: Fraction) -> tuple[tuple[int, ...], int]:
@@ -85,22 +87,12 @@ def _eliminate(rows: list[Row], k: int) -> object:
     return _dedupe(new)
 
 
-def _fm_bounds_on(rows: list[Row], n: int, j: int) -> object:
-    """Eliminate everything except variable j.  Returns rows or _INFEASIBLE."""
-    cur = _dedupe(rows)
-    if cur is _INFEASIBLE:
-        return _INFEASIBLE
-    order = sorted((k for k in range(n) if k != j),
-                   key=lambda k: sum(1 for a, _ in cur if a[k]))
-    for k in order:
-        cur = _eliminate(cur, k)
-        if cur is _INFEASIBLE:
-            return _INFEASIBLE
-    return cur
+def _read_interval(rows: list[Row], j: int) -> Optional[Interval]:
+    """The interval of x_j cut out by rows in which only x_j is unknown.
 
-
-def _read_interval(rows: list[Row], j: int
-                   ) -> Optional[tuple[Optional[Fraction], Optional[Fraction]]]:
+    A row without x_j is a constant condition; None when one fails or
+    the bounds cross.
+    """
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
     for a, b in rows:
@@ -111,171 +103,76 @@ def _read_interval(rows: list[Row], j: int
         elif c < 0:
             v = b / c
             lo = v if lo is None else max(lo, v)
+        elif b < 0:
+            return None
     if lo is not None and hi is not None and lo > hi:
         return None
     return lo, hi
 
 
-def fix_prefix(rows: Sequence[Row], n: int,
-               prefix: Sequence[Fraction]) -> list[Row]:
-    """Substitute values for the first len(prefix) variables.
+def projection_chain(rows: Sequence[Row], n: int
+                     ) -> Optional[list[list[Row]]]:
+    """Fourier-Motzkin projections onto x_0..x_k for k = 0..n-1.
 
-    The result is over the remaining n - len(prefix) variables.
+    Entry k holds rows over the full tuple width whose coefficients
+    beyond k are zero; entry n-1 is the deduplicated system itself.
+    None when the system is infeasible.
+    """
+    cur = _dedupe(list(rows))
+    chain: list[list[Row]] = []
+    for k in range(n - 1, -1, -1):
+        if cur is _INFEASIBLE:
+            return None
+        chain.append(cur)
+        if k:
+            cur = _eliminate(cur, k)
+    # Contradictory bounds on x_0 never become a constant row, because
+    # x_0 is the one variable never eliminated.
+    if cur is _INFEASIBLE or (n and _read_interval(cur, 0) is None):
+        return None
+    chain.reverse()
+    return chain
+
+
+def coordinate_range(chain: Sequence[list[Row]], prefix: Sequence
+                     ) -> Optional[Interval]:
+    """Exact (min, max) of x_k, k = len(prefix), over the feasible points
+    whose first k coordinates equal ``prefix``.
+
+    ``chain`` comes from ``projection_chain``.  None means no feasible
+    point starts with ``prefix``; a None endpoint means that side is
+    unbounded.
     """
     k = len(prefix)
-    out = []
-    for a, b in rows:
-        shift = sum(a[i] * prefix[i] for i in range(k))
-        out.append((tuple(a[k:]), b - shift))
-    return out
-
-
-# --------------------------------------------------------------------------
-# Exact two-phase simplex (minimization, Bland's rule).
-
-
-def _pivot(tableau: list[list[Fraction]], obj: list[Fraction],
-           basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col]:
-            f = tableau[r][col]
-            tableau[r] = [x - f * y for x, y in zip(tableau[r], tableau[row])]
-    if obj[col]:
-        f = obj[col]
-        obj[:] = [x - f * y for x, y in zip(obj, tableau[row])]
-    basis[row] = col
-
-
-def _optimize(tableau: list[list[Fraction]], obj: list[Fraction],
-              basis: list[int], allowed: range) -> str:
-    while True:
-        enter = next((j for j in allowed if obj[j] < 0), None)
-        if enter is None:
-            return "optimal"
-        leave = None
-        best: Optional[Fraction] = None
-        for i, row in enumerate(tableau):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if (best is None or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])):
-                    best, leave = ratio, i
-        if leave is None:
-            return "unbounded"
-        _pivot(tableau, obj, basis, leave, enter)
-
-
-def _simplex(rows: Sequence[Row], n: int, cost: Sequence[Fraction]
-             ) -> tuple[str, Optional[Fraction], Optional[tuple[Fraction, ...]]]:
-    """Minimize cost . x over {x free : a . x <= b for all rows}.
-
-    Returns (status, optimal value, argmin); status is "optimal",
-    "unbounded" or "infeasible".
-    """
-    m = len(rows)
-    # Columns: x+ (n), x- (n), slack (m), artificial (m), then RHS.
-    width = 2 * n + 2 * m + 1
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    zero = Fraction(0)
-    for i, (a, b) in enumerate(rows):
-        row = [zero] * width
-        sgn = 1 if b >= 0 else -1
-        for j in range(n):
-            row[j] = Fraction(sgn * a[j])
-            row[n + j] = Fraction(-sgn * a[j])
-        row[2 * n + i] = Fraction(sgn)
-        row[2 * n + m + i] = Fraction(1)
-        row[-1] = Fraction(sgn * b)
-        tableau.append(row)
-        basis.append(2 * n + m + i)
-    # Phase 1: minimize the sum of artificials.
-    obj = [zero] * width
-    for j in range(2 * n + m, 2 * n + 2 * m):
-        obj[j] = Fraction(1)
-    for row in tableau:
-        obj = [x - y for x, y in zip(obj, row)]
-    status = _optimize(tableau, obj, basis, range(2 * n + m))
-    assert status == "optimal"
-    if -obj[-1] != 0:
-        return "infeasible", None, None
-    # Pivot leftover artificials out of the basis (or drop empty rows).
-    for i in range(m - 1, -1, -1):
-        if basis[i] >= 2 * n + m:
-            col = next((j for j in range(2 * n + m) if tableau[i][j]), None)
-            if col is None:
-                del tableau[i], basis[i]
-            else:
-                _pivot(tableau, obj, basis, i, col)
-    # Phase 2: the real objective.
-    obj = [Fraction(c) for c in cost] + [Fraction(-c) for c in cost]
-    obj += [zero] * (width - 2 * n)
-    for i, row in enumerate(tableau):
-        if obj[basis[i]]:
-            f = obj[basis[i]]
-            obj = [x - f * y for x, y in zip(obj, row)]
-    status = _optimize(tableau, obj, basis, range(2 * n + m))
-    if status == "unbounded":
-        return "unbounded", None, None
-    point = [zero] * (2 * n)
-    for i, b in enumerate(basis):
-        if b < 2 * n:
-            point[b] = tableau[i][-1]
-    x = tuple(point[j] - point[n + j] for j in range(n))
-    return "optimal", -obj[-1], x
-
-
-# --------------------------------------------------------------------------
-# Public interface.
+    return _read_interval(
+        [(a, b - sum(a[i] * prefix[i] for i in range(k)))
+         for a, b in chain[k]], k)
 
 
 def feasible_point(rows: Sequence[Row], n: int
                    ) -> Optional[tuple[Fraction, ...]]:
-    """A rational point satisfying every row, or None if there is none."""
-    if n == 0:
-        return () if all(b >= 0 for _, b in rows) else None
-    if n > FM_CUTOVER:
-        status, _, x = _simplex(rows, n, [Fraction(0)] * n)
-        return x if status != "infeasible" else None
-    # Back-substitution over a chain of eliminations.
-    systems: list[list[Row]] = []
-    cur = _dedupe(list(rows))
-    if cur is _INFEASIBLE:
+    """A rational point satisfying every row, or None if there is none.
+
+    Each coordinate in turn takes the lower end of its range, else the
+    upper end, else 0.
+    """
+    chain = projection_chain(rows, n)
+    if chain is None:
         return None
-    for k in range(n - 1, 0, -1):
-        systems.append(cur)
-        cur = _eliminate(cur, k)
-        if cur is _INFEASIBLE:
-            return None
-    systems.append(cur)
     point: list[Fraction] = []
-    for k in range(n):
-        sys_k = systems[n - 1 - k]
-        shifted = [(a[k:], b - sum(a[i] * point[i] for i in range(k)))
-                   for a, b in sys_k]
-        iv = _read_interval([(a, b) for a, b in shifted], 0)
-        if iv is None:
-            if k == 0:
-                # Contradictory bounds on the innermost variable were
-                # never materialized as a constant row, because that
-                # variable is the one never eliminated.
-                return None
-            raise AssertionError(
-                "empty interval after feasible projection")  # pragma: no cover
-        lo, hi = iv
-        if lo is not None:
-            point.append(lo)
-        elif hi is not None:
-            point.append(hi)
-        else:
-            point.append(Fraction(0))
+    for _ in range(n):
+        rng = coordinate_range(chain, point)
+        if rng is None:
+            raise RuntimeError(
+                "empty range after a feasible projection")  # pragma: no cover
+        lo, hi = rng
+        point.append(lo if lo is not None
+                     else hi if hi is not None else Fraction(0))
     return tuple(point)
 
 
 def variable_range(rows: Sequence[Row], n: int, j: int
-                   ) -> Optional[tuple[Optional[Fraction], Optional[Fraction]]]:
+                   ) -> Optional[Interval]:
     """Exact (min, max) of variable j over the polyhedron.
 
     None means the system is infeasible; a None endpoint means that
@@ -283,16 +180,8 @@ def variable_range(rows: Sequence[Row], n: int, j: int
     """
     if not 0 <= j < n:
         raise IndexError("variable index out of range")
-    if n > FM_CUTOVER:
-        st_lo, lo, _ = _simplex(rows, n, [Fraction(k == j) for k in range(n)])
-        if st_lo == "infeasible":
-            return None
-        st_hi, hi_neg, _ = _simplex(rows, n,
-                                    [Fraction(-(k == j)) for k in range(n)])
-        lo_val = lo if st_lo == "optimal" else None
-        hi_val = -hi_neg if st_hi == "optimal" else None
-        return lo_val, hi_val
-    bounds = _fm_bounds_on(list(rows), n, j)
-    if bounds is _INFEASIBLE:
-        return None
-    return _read_interval(bounds, j)
+    # Put x_j first: its range is then read off the chain's first entry.
+    order = [j] + [k for k in range(n) if k != j]
+    chain = projection_chain(
+        [(tuple(a[k] for k in order), b) for a, b in rows], n)
+    return None if chain is None else coordinate_range(chain, ())

@@ -40,7 +40,8 @@ from .irreducibility import (FactorSearchCaps, Irreducible, Reducible,
                              Unknown, certify_irreducible)
 from .monoid import (AlgebraicNumberSpec, AtLeast, Count, Finite, Infinite,
                      PairResult, TransformScaling, UnsupportedInputError,
-                     analyze, classify_degree2, verify_certificate)
+                     _degree2_poly, analyze, classify_degree2,
+                     verify_certificate)
 from .oracle import (NonStrong, OracleCaps, StrongUpTo,
                      enumerate_factorizations, strong_check_oracle)
 from .polycore import IntPoly, RatPoly, substitute_power
@@ -272,6 +273,12 @@ class _Ctx:
     started: float
 
 
+def _flag_or(args: argparse.Namespace, name: str, default: int) -> int:
+    """The flag's value when given (0 included), else the default."""
+    value = getattr(args, name, None)
+    return default if value is None else value
+
+
 def _build_caps(args: argparse.Namespace) -> Caps:
     defaults = Caps()
     max_deg = defaults.max_witness_deg
@@ -287,8 +294,8 @@ def _build_caps(args: argparse.Namespace) -> Caps:
         max_deg = args.max_witness_deg
     return Caps(
         max_witness_deg=max_deg,
-        max_coeff=getattr(args, "max_coeff", None) or defaults.max_coeff,
-        max_nodes=getattr(args, "max_nodes", None) or defaults.max_nodes,
+        max_coeff=_flag_or(args, "max_coeff", defaults.max_coeff),
+        max_nodes=_flag_or(args, "max_nodes", defaults.max_nodes),
     )
 
 
@@ -346,9 +353,7 @@ def _cmd_classify2(ctx: _Ctx) -> int:
             f"unknown form {args.form!r}; use one of all-positive, "
             "pos-pos-neg, pos-neg-pos, pos-neg-neg")
     res = classify_degree2(args.a, args.b, args.c, form)
-    sb = args.b if form in ("AllPositive", "PosPosNeg") else -args.b
-    sc = args.c if form in ("AllPositive", "PosNegPos") else -args.c
-    m = IntPoly((sc, sb, args.a))
+    m = _degree2_poly(args.a, args.b, args.c, form)
     if args.verify:
         _verify_pair(res, m)
     payload = {

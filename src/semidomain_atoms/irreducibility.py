@@ -242,7 +242,10 @@ def certify_irreducible(m: IntPoly,
     for root in rational_roots(m):
         lin = IntPoly((-root.numerator, root.denominator))
         _, r = divmod_rat(m.to_rat(), lin.to_rat())
-        assert not r
+        if r:
+            raise RuntimeError(
+                f"certify_irreducible: rational root {root} does not "
+                f"divide {m}")
         return Reducible(lin)
     if m.degree <= 3:
         return Irreducible("no-rational-root")

@@ -25,7 +25,7 @@ alphabet accordingly via ``allowed_powers``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -61,8 +61,6 @@ class MonoidElement:
     """Exact power-basis coordinates of an element (modulus implied)."""
 
     coords: tuple[int, ...]
-    value_interval: Optional[tuple[Fraction, Fraction]] = field(
-        default=None, compare=False)
 
 
 @dataclass(frozen=True)

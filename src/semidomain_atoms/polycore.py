@@ -24,7 +24,6 @@ __all__ = [
     "IntPoly",
     "RatPoly",
     "MinimalPair",
-    "mul",
     "content_primitive",
     "minimal_pair",
     "reduce_mod",
@@ -343,11 +342,6 @@ class RatPoly:
         L, g = self.clear_denominators()
         c, prim = content_primitive(g)
         return Fraction(L, c), prim
-
-
-def mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact product of two integer polynomials."""
-    return a * b
 
 
 def content_primitive(a: IntPoly) -> tuple[int, IntPoly]:

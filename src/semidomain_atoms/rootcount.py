@@ -11,7 +11,6 @@ skipped, which also counts a root sitting exactly at b.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -25,7 +24,6 @@ __all__ = [
     "RootInterval",
     "isolate_positive_roots",
     "squarefree_part",
-    "curtiss_multiplier_search",
 ]
 
 AnyPoly = Union[IntPoly, RatPoly]
@@ -109,7 +107,8 @@ def squarefree_part(f: IntPoly) -> IntPoly:
         raise ValueError("zero polynomial")
     g = gcd_rat(f.to_rat(), f.to_rat().derivative())
     q, r = divmod_rat(f.to_rat(), g)
-    assert not r
+    if r:
+        raise RuntimeError("squarefree_part: gcd(f, f') does not divide f")
     _, prim = q.primitive_part()
     return prim if prim.lead > 0 else -prim
 
@@ -180,10 +179,6 @@ class RootInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def refined(self, max_width: Fraction) -> "RootInterval":
         """Bisect until the width is at most ``max_width``."""
         lo, hi = self.lo, self.hi
@@ -216,7 +211,10 @@ def isolate_positive_roots(f: IntPoly) -> list[RootInterval]:
     # Cauchy bound: all roots lie strictly inside |x| < 1 + max|c_i|/|lead|.
     bound = 1 + max(abs(c) for c in g.coeffs) // abs(g.lead) + 1
     lo0, hi0 = Fraction(0), Fraction(bound)
-    assert chain.count_in(lo0, hi0) == total
+    if chain.count_in(lo0, hi0) != total:
+        raise RuntimeError(
+            "isolate_positive_roots: a positive root lies outside the "
+            "Cauchy bound")
     done: list[tuple[Fraction, Fraction]] = []
     stack = [(lo0, hi0, total)]
     while stack:
@@ -232,38 +230,3 @@ def isolate_positive_roots(f: IntPoly) -> list[RootInterval]:
         stack.append((mid, hi, count - left))
     done.sort()
     return [RootInterval(lo, hi, g, chain) for lo, hi in done]
-
-
-def _magnitude_order(cap: int, include_zero: bool) -> list[int]:
-    vals = [0] if include_zero else []
-    for v in range(1, cap + 1):
-        vals.extend((v, -v))
-    return vals
-
-
-def curtiss_multiplier_search(f: IntPoly, deg_cap: int,
-                              coeff_cap: int) -> Optional[IntPoly]:
-    """Smallest multiplier mu with sign_variations(mu*f) equal to the
-    positive-root count of f (with multiplicity).
-
-    Candidates are enumerated by increasing degree, then
-    lexicographically with each coefficient running through
-    0, 1, -1, 2, -2, ... up to ``coeff_cap`` (the constant term skips 0,
-    since an x factor never changes sign variations).  Returns None if
-    no multiplier within the caps works.
-    """
-    if not f:
-        raise ValueError("zero polynomial")
-    target = positive_root_count(f, with_multiplicity=True)
-    nonzero = _magnitude_order(coeff_cap, include_zero=False)
-    anyval = _magnitude_order(coeff_cap, include_zero=True)
-    for e in range(deg_cap + 1):
-        if e == 0:
-            alphabets = [nonzero]
-        else:
-            alphabets = [nonzero] + [anyval] * (e - 1) + [nonzero]
-        for cs in itertools.product(*alphabets):
-            mu = IntPoly(cs)
-            if sign_variations(mu * f) == target:
-                return mu
-    return None

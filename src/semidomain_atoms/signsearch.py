@@ -30,12 +30,14 @@ positive roots counted with multiplicity, no multiple can match — at any
 degree); then exact rational feasibility of the linear system in the
 multiplier's coefficients; then, for the kinds demanding genuinely
 integer coefficients, a depth-first sweep of integer points inside the
-exact feasible region, enumerating each coordinate over its projected
-range in ascending order (so the reported witness is the one with the
-lexicographically smallest multiplier coefficient vector).  A sweep that
-exhausts the finite region without clamping is a proof of integer
-infeasibility for the queried degrees; sweeps cut short by caps report
-``ExhaustedCaps`` and never a verdict.
+exact feasible region.  Each probed degree builds one Fourier-Motzkin
+projection chain, and the sweep reads every node's range of the next
+coordinate off it, enumerating that range in ascending order (so the
+reported witness is the one with the lexicographically smallest
+multiplier coefficient vector).  A sweep that exhausts the finite
+region without clamping is a proof of integer infeasibility for the
+queried degrees; sweeps cut short by caps report ``ExhaustedCaps`` and
+never a verdict.
 
 ``SingleNegativeAt`` and plain ``UnitRepresentation`` are scale-free:
 the defining constraints survive multiplication by positive rationals,
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from ._exactlp import Row, feasible_point, fix_prefix, variable_range
+from ._exactlp import Row, coordinate_range, feasible_point, projection_chain
 from .polycore import IntPoly, RatPoly, content_primitive
 from .rootcount import positive_root_count
 
@@ -79,6 +81,14 @@ class Caps:
     max_witness_deg: int = 24
     max_coeff: int = 10**6
     max_nodes: int = 100_000
+
+    def __post_init__(self) -> None:
+        if self.max_witness_deg < 1:
+            raise ValueError("max_witness_deg must be >= 1")
+        if self.max_coeff < 0:
+            raise ValueError("max_coeff must be >= 0")
+        if self.max_nodes < 0:
+            raise ValueError("max_nodes must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -291,6 +301,14 @@ def _validate(m: IntPoly, kind: PatternKind) -> None:
         raise ValueError("monic pattern needs a monic modulus")
 
 
+def _checked_witness(kind: PatternKind, multiplier, product) -> Witness:
+    """The witness, after an exact re-check of the product's signs."""
+    if not pattern_matches(kind, product):
+        raise RuntimeError(
+            f"witness check failed: {product} does not match {kind!r}")
+    return Witness(multiplier, product)
+
+
 def _canonical_integer_witness(kind: PatternKind, f: RatPoly,
                                m: IntPoly) -> Witness:
     """Scale a rational solution to the primitive integer witness.
@@ -301,10 +319,7 @@ def _canonical_integer_witness(kind: PatternKind, f: RatPoly,
     if isinstance(kind, StrongPrefixPattern):
         f = -f
     _, fi = f.primitive_part()
-    product = fi * m
-    w = Witness(fi, product)
-    assert pattern_matches(kind, product), (kind, product)
-    return w
+    return _checked_witness(kind, fi, fi * m)
 
 
 def rational_feasibility(m: IntPoly, kind: PatternKind,
@@ -332,9 +347,7 @@ def rational_feasibility(m: IntPoly, kind: PatternKind,
                              StrongPrefixPattern)):
             if not (isinstance(kind, UnitRepresentation) and kind.unit_only):
                 return _canonical_integer_witness(kind, f, m)
-        product = f * m.to_rat()
-        assert pattern_matches(kind, product), (kind, product)
-        return Witness(f, product)
+        return _checked_witness(kind, f, f * m.to_rat())
     return InfeasibleProven(
         "linear", "query",
         note=f"rationally infeasible at product degrees {degrees!r}")
@@ -347,24 +360,23 @@ class _NodeBudget:
         self.left = n
 
 
-def _integer_sweep(rows: list[Row], n_vars: int, caps: Caps,
-                   budget: _NodeBudget) -> tuple[Optional[tuple[int, ...]], bool]:
+def _integer_sweep(chain: list[list[Row]], caps: Caps, budget: _NodeBudget
+                   ) -> tuple[Optional[tuple[int, ...]], bool]:
     """Depth-first enumeration of integer points of the feasible region.
 
-    Coordinates are fixed left to right, each running in ascending order
-    over the exact projected range of the remaining system, so the first
-    solution found is lexicographically smallest.  Returns
-    (solution or None, complete); ``complete`` is False when the node
-    budget ran out or a range had to be clamped to the coefficient cap,
-    in which case a None solution proves nothing.
+    ``chain`` is the region's projection chain.  Coordinates are fixed
+    left to right, each running in ascending order over its exact range
+    given the fixed prefix, so the first solution found is
+    lexicographically smallest.  Returns (solution or None, complete);
+    ``complete`` is False when the node budget ran out or a range had to
+    be clamped to the coefficient cap, in which case a None solution
+    proves nothing.
     """
 
     def rec(prefix: list[int]) -> tuple[Optional[tuple[int, ...]], bool]:
-        level = len(prefix)
-        if level == n_vars:
+        if len(prefix) == len(chain):
             return tuple(prefix), True
-        sub = fix_prefix(rows, n_vars, [Fraction(v) for v in prefix])
-        rng = variable_range(sub, n_vars - level, 0)
+        rng = coordinate_range(chain, prefix)
         if rng is None:
             return None, True
         lo, hi = rng
@@ -412,21 +424,21 @@ def integer_witness_search(m: IntPoly, kind: PatternKind,
             isinstance(kind, UnitRepresentation) and not kind.unit_only):
         return rational_feasibility(m, kind, caps)
 
-    # Integer-pinned kinds: per-degree rational check, then the sweep.
+    # Integer-pinned kinds: per degree, one projection chain (None when
+    # rationally infeasible), then the sweep over it.
     budget = _NodeBudget(caps.max_nodes)
     degrees = _probe_degrees(m, kind, caps)
     all_complete = True
     for prod_deg in degrees:
         t = prod_deg - m.degree
         rows = _pattern_rows(m, kind, prod_deg)
-        if feasible_point(rows, t + 1) is None:
+        chain = projection_chain(rows, t + 1)
+        if chain is None:
             continue
-        sol, complete = _integer_sweep(rows, t + 1, caps, budget)
+        sol, complete = _integer_sweep(chain, caps, budget)
         if sol is not None:
             f = IntPoly(sol)
-            product = f * m
-            assert pattern_matches(kind, product), (kind, product)
-            return Witness(f, product)
+            return _checked_witness(kind, f, f * m)
         all_complete = all_complete and complete
         if budget.left <= 0:
             all_complete = False

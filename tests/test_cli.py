@@ -153,6 +153,19 @@ class TestCapsWiring:
         code, _, err = run(capsys, "analyze", "[-2,4,-8,1]")
         assert code == 1 and "SEMIDOMAIN_ATOMS_MAX_DEG" in err
 
+    def test_negative_witness_degree_rejected(self, capsys):
+        code, out, err = run(capsys, "analyze", "x^3-8x^2+4x-2",
+                             "--max-witness-deg", "-3")
+        assert code == 1 and "max_witness_deg" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--max-nodes", "--max-coeff"])
+    def test_zero_budget_is_kept(self, capsys, flag):
+        # A zero budget stops the sweep that decides the flagship; it
+        # must not fall back to the default budget.
+        code, out, _ = run(capsys, "analyze", "x^3-8x^2+4x-2", flag, "0")
+        assert code == 2 and "undecided" in out
+
 
 class TestClassify2Command:
     def test_basic(self, capsys):

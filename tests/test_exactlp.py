@@ -1,10 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from semidomain_atoms._exactlp import (FM_CUTOVER, _simplex, feasible_point,
-                                       fix_prefix, variable_range)
+from semidomain_atoms._exactlp import (coordinate_range, feasible_point,
+                                       projection_chain, variable_range)
 
 F = Fraction
 
@@ -80,79 +82,122 @@ class TestVariableRange:
             variable_range([], 2, 2)
 
 
-class TestFixPrefix:
-    def test_substitution(self):
-        rows = rows_of((1, 1, 3), (2, -1, 4))
-        fixed = fix_prefix(rows, 2, [F(1)])
-        assert fixed == [((F(1),), F(2)), ((F(-1),), F(2))]
+def boxed_system(rng, n):
+    """Random rows over n unknowns, plus the box -9 <= x_j <= 9."""
+    rows = [(tuple(F(rng.randint(-4, 4)) for _ in range(n)),
+             F(rng.randint(-6, 6)))
+            for _ in range(rng.randint(1, 6))]
+    for j in range(n):
+        for sign in (1, -1):
+            e = [F(0)] * n
+            e[j] = F(sign)
+            rows.append((tuple(e), F(9)))
+    return rows
 
 
-class TestSimplexDirect:
-    def test_optimum(self):
-        # min x + y over the triangle corner (1, 3).
-        rows = rows_of((-1, 0, -1), (0, -1, -3), (1, 1, 10))
-        status, val, pt = _simplex(rows, 2, [F(1), F(1)])
-        assert status == "optimal"
-        assert val == 4
-        assert pt == (F(1), F(3))
+def solve_square(a_rows, b):
+    """The unique solution of the square system a x = b, or None."""
+    n = len(b)
+    m = [list(r) + [v] for r, v in zip(a_rows, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return tuple(m[r][n] / m[r][r] for r in range(n))
 
-    def test_unbounded(self):
-        status, _, _ = _simplex(rows_of((1, 1),), 1, [F(1)])
-        assert status == "unbounded"
 
-    def test_infeasible(self):
-        status, _, _ = _simplex(rows_of((1, -1), (-1, 0)), 1, [F(0)])
-        assert status == "infeasible"
+def vertices(rows, n):
+    """Every vertex of a bounded polyhedron: the exactly solved n x n
+    subsystems, held tight, whose solution satisfies every row."""
+    out = set()
+    for pick in itertools.combinations(rows, n):
+        x = solve_square([a for a, _ in pick], [b for _, b in pick])
+        if x is not None and all(
+                sum(c * v for c, v in zip(a, x)) <= b for a, b in rows):
+            out.add(x)
+    return out
 
-    def test_negative_rhs_normalization(self):
-        rows = rows_of((-1, -5),)  # x >= 5
-        status, val, pt = _simplex(rows, 1, [F(1)])
-        assert status == "optimal"
-        assert val == 5 and pt == (F(5),)
+
+def substituted(rows, prefix):
+    """The system over the unknowns after ``prefix``, with it fixed."""
+    k = len(prefix)
+    return [(a[k:], b - sum(a[i] * prefix[i] for i in range(k)))
+            for a, b in rows]
 
 
 class TestEngineAgreement:
+    """Elimination against vertex enumeration on bounded random systems."""
+
     def test_random_systems(self):
         rng = random.Random(20260819)
+        feasible = 0
         for trial in range(150):
-            n = rng.randint(1, 4)
-            rows = []
-            for _ in range(rng.randint(1, 6)):
-                a = tuple(F(rng.randint(-4, 4)) for _ in range(n))
-                rows.append((a, F(rng.randint(-6, 6))))
-            fm_pt = feasible_point(rows, n)
-            status, _, sx_pt = _simplex(rows, n, [F(0)] * n)
-            assert (fm_pt is None) == (status == "infeasible"), (rows, n)
-            for pt in (fm_pt, sx_pt):
-                if pt is not None:
-                    for a, b in rows:
-                        assert sum(c * v for c, v in zip(a, pt)) <= b
+            n = rng.randint(1, 3)
+            rows = boxed_system(rng, n)
+            pt = feasible_point(rows, n)
+            assert (pt is None) == (not vertices(rows, n)), (rows, n)
+            if pt is not None:
+                feasible += 1
+                for a, b in rows:
+                    assert sum(c * v for c, v in zip(a, pt)) <= b
+        assert 20 <= feasible <= 130
 
     def test_random_ranges(self):
         rng = random.Random(77)
         for trial in range(80):
             n = rng.randint(1, 3)
-            rows = [((tuple(F(rng.randint(-3, 3)) for _ in range(n))),
-                     F(rng.randint(-5, 5)))
-                    for _ in range(rng.randint(2, 5))]
-            # Bound the box so both sides are finite when feasible.
-            for j in range(n):
-                e = [F(0)] * n
-                e[j] = F(1)
-                rows.append((tuple(e), F(9)))
-                e2 = [F(0)] * n
-                e2[j] = F(-1)
-                rows.append((tuple(e2), F(9)))
+            rows = boxed_system(rng, n)
+            vs = vertices(rows, n)
             for j in range(n):
                 got = variable_range(rows, n, j)
-                st_lo, lo, _ = _simplex(rows, n,
-                                        [F(i == j) for i in range(n)])
-                if got is None:
-                    assert st_lo == "infeasible"
+                if not vs:
+                    assert got is None, (rows, j)
                     continue
-                st_hi, neg_hi, _ = _simplex(rows, n,
-                                            [-F(i == j) for i in range(n)])
-                assert got == (lo, -neg_hi), (rows, j)
+                assert got == (min(v[j] for v in vs),
+                               max(v[j] for v in vs)), (rows, j)
 
-    def test_cutover_is_high_enough_for_fm_tests(self):
-        assert FM_CUTOVER >= 4
+
+class TestProjectionChain:
+    def test_infeasible_is_none(self):
+        assert projection_chain(rows_of((1, -1), (-1, 0)), 1) is None
+        assert projection_chain(rows_of((-1,)), 0) is None
+        assert projection_chain(rows_of((5,)), 0) == []
+
+    def test_entries_drop_trailing_unknowns(self):
+        rows = rows_of((-1, 0, 0), (0, -1, 0), (1, 1, 3))
+        chain = projection_chain(rows, 2)
+        assert len(chain) == 2
+        assert all(a[1] == 0 for a, _ in chain[0])
+        assert coordinate_range(chain, ()) == (F(0), F(3))
+        assert coordinate_range(chain, (F(1),)) == (F(0), F(2))
+        assert coordinate_range(chain, (F(4),)) is None
+        # x = -1 breaks x >= 0, a row without y: no y extends it.
+        assert coordinate_range(chain, (F(-1),)) is None
+
+    def test_ranges_match_substituted_system(self):
+        rng = random.Random(4242)
+        feasible = 0
+        for trial in range(120):
+            n = rng.randint(2, 3)
+            rows = boxed_system(rng, n)
+            chain = projection_chain(rows, n)
+            if chain is None:
+                continue
+            # Walk a random integer prefix through the ranges, so every
+            # prefix checked extends to a feasible point.
+            prefix = []
+            for k in range(n):
+                got = coordinate_range(chain, prefix)
+                assert got == variable_range(substituted(rows, prefix),
+                                             n - k, 0), (rows, prefix)
+                lo, hi = got
+                if math.ceil(lo) > math.floor(hi):
+                    break
+                feasible += 1
+                prefix.append(rng.randint(math.ceil(lo), math.floor(hi)))
+        assert feasible >= 60

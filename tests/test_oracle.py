@@ -34,11 +34,9 @@ class TestDataShapes:
             FactorizationMultiset((2, 1))
         assert FactorizationMultiset((1, 2, 2)).size == 3
 
-    def test_element_equality_ignores_interval(self):
-        from fractions import Fraction
-        a = MonoidElement((1, 2))
-        b = MonoidElement((1, 2), (Fraction(1), Fraction(2)))
-        assert a == b
+    def test_element_equality_by_coords(self):
+        assert MonoidElement((1, 2)) == MonoidElement((1, 2))
+        assert MonoidElement((1, 2)) != MonoidElement((1, 3))
 
 
 class TestReduceElement:

@@ -6,7 +6,6 @@ from conftest import CUBE, P
 from semidomain_atoms import (IntPoly, RatPoly, content_primitive, divmod_rat,
                               gcd_rat, minimal_pair, reduce_mod,
                               substitute_power)
-from semidomain_atoms.polycore import mul
 
 
 class TestIntPolyBasics:
@@ -57,7 +56,6 @@ class TestIntPolyArithmetic:
         assert P(1, 2) * CUBE == P(-2, 0, 0, -15, 2)
         # (x^2 + 2x + 1)(x^3 - 8x^2 + 4x - 2) = x^5 - 6x^4 - 11x^3 - 2x^2 - 2
         assert P(1, 2, 1) * CUBE == P(-2, 0, -2, -11, -6, 1)
-        assert mul(P(1, 2), CUBE) == P(-2, 0, 0, -15, 2)
 
     def test_scalar_mul(self):
         assert 3 * P(1, -2) == P(3, -6)

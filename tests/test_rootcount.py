@@ -6,7 +6,6 @@ from conftest import CUBE, GOLDEN, P, THREE_ROOTS, TWO_ROOTS
 from semidomain_atoms import (SturmChain, isolate_positive_roots,
                               positive_root_count, sign_variations,
                               squarefree_part)
-from semidomain_atoms.rootcount import curtiss_multiplier_search
 
 
 class TestSignVariations:
@@ -108,22 +107,3 @@ class TestIsolation:
         assert small.width <= Fraction(1, 10**6)
         assert small.lo >= iv.lo and small.hi <= iv.hi
         assert SturmChain(CUBE).count_in(small.lo, small.hi) == 1
-
-
-class TestCurtissSearch:
-    def test_collapses_extra_variations(self):
-        # The modulus shows 3 variations but has one positive root; some
-        # multiplier's product achieves exactly 1.
-        g = curtiss_multiplier_search(CUBE, deg_cap=4, coeff_cap=20)
-        assert g is not None
-        assert sign_variations(g * CUBE) == 1
-
-    def test_identity_when_already_tight(self):
-        g = curtiss_multiplier_search(TWO_ROOTS, deg_cap=2, coeff_cap=5)
-        assert g is not None
-        assert sign_variations(g * TWO_ROOTS) == 2
-
-    def test_none_within_tiny_caps(self):
-        # Degree cap 0 and coefficient cap 1 leave only g = 1 and g = -1,
-        # neither of which collapses the cube's variations.
-        assert curtiss_multiplier_search(CUBE, deg_cap=0, coeff_cap=1) is None

@@ -221,6 +221,17 @@ class TestUnitOnly:
 
 
 class TestCaps:
+    @pytest.mark.parametrize("field,value", [
+        ("max_witness_deg", 0), ("max_witness_deg", -3),
+        ("max_coeff", -1), ("max_nodes", -1),
+    ])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Caps(**{field: value})
+
+    def test_zero_budgets_allowed(self):
+        assert Caps(max_witness_deg=1, max_coeff=0, max_nodes=0).max_nodes == 0
+
     def test_node_budget_exhaustion(self):
         res = integer_witness_search(CUBE, MonicAtomPattern(5),
                                      Caps(max_nodes=1))

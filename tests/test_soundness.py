@@ -1,0 +1,37 @@
+"""Soundness checks must hold under ``python -O``, which strips asserts."""
+
+import ast
+import pathlib
+
+import pytest
+
+from semidomain_atoms import (MonicAtomPattern, StrongPrefixPattern,
+                              integer_witness_search, rational_feasibility,
+                              signsearch)
+
+from conftest import CUBE
+
+PACKAGE = pathlib.Path(signsearch.__file__).parent
+
+
+def test_no_assert_statements_in_package():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+@pytest.mark.parametrize("search", [
+    # The integer sweep's witness (x^2 + 2x + 1).
+    lambda: integer_witness_search(CUBE, MonicAtomPattern(5)),
+    # The rational relaxation point of an integer-pinned kind.
+    lambda: rational_feasibility(CUBE, MonicAtomPattern(5)),
+    # The canonical integer witness of a scale-free kind (2x + 1).
+    lambda: rational_feasibility(CUBE, StrongPrefixPattern(4)),
+], ids=["sweep", "relaxation", "canonical"])
+def test_rejected_witness_raises(monkeypatch, search):
+    monkeypatch.setattr(signsearch, "pattern_matches", lambda kind, p: False)
+    with pytest.raises(RuntimeError, match="witness check failed"):
+        search()
