@@ -1,18 +1,26 @@
-"""Exact rational linear feasibility and variable-range queries.
+"""Exact rational linear feasibility, variable-range and cone-membership
+queries.
 
 Constraint rows are pairs ``(a, b)`` over ``Fraction`` meaning
 ``a . x <= b`` with all variables unrestricted in sign.  Equalities are
 expressed as two opposite rows by callers.
 
-The one engine is Fourier-Motzkin elimination with canonical row
-deduplication.  ``projection_chain`` eliminates x_{n-1}, ..., x_1 in
-turn and keeps every intermediate system, so its entry k describes the
+Two engines, each serving its own question.  Fourier-Motzkin
+elimination with canonical row deduplication serves general inequality
+systems: ``projection_chain`` eliminates x_{n-1}, ..., x_1 in turn and
+keeps every intermediate system, so its entry k describes the
 projection of the polyhedron onto x_0..x_k.  Elimination projects
 exactly whatever the order, so the range of x_k over the points that
 extend a fixed x_0..x_{k-1} is a single read of entry k
 (``coordinate_range``); a feasible point is a walk down the chain
 (``feasible_point``), and a depth-first integer sweep reads every
 node's range from the same chain without eliminating again.
+
+``cone_membership`` asks whether a target vector is a nonnegative
+combination of generators: a dense phase-1 simplex with Bland's rule
+and one equality row per coordinate.  Its answer is either the
+combination or a Farkas vector separating the target from the cone,
+and either one is re-checked exactly before it is returned.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ __all__ = [
     "coordinate_range",
     "feasible_point",
     "variable_range",
+    "cone_membership",
 ]
 
 # Elimination serves every system size.  Only perfbench/spans.py reads
@@ -185,3 +194,97 @@ def variable_range(rows: Sequence[Row], n: int, j: int
     chain = projection_chain(
         [(tuple(a[k] for k in order), b) for a, b in rows], n)
     return None if chain is None else coordinate_range(chain, ())
+
+
+def _phase_one(gens: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
+               ) -> tuple[bool, tuple[Fraction, ...]]:
+    """Phase-1 simplex for ``sum_j w_j gens[j] = target``, ``w >= 0``.
+
+    One artificial variable per row (rows flipped so the right-hand
+    side is nonnegative) starts the basis; Bland's rule (lowest-index
+    entering column, lowest-index basic variable among tied ratios)
+    rules out cycling.  At a positive optimum the simplex multipliers
+    pi satisfy pi.(column) <= 0 for every generator column and
+    pi.rhs > 0; undoing the row flips turns them into the Farkas
+    vector.
+    """
+    d, n = len(target), len(gens)
+    signs = [-1 if t < 0 else 1 for t in target]
+    # Tableau rows: generator columns, artificial columns, rhs.
+    tab = [[Fraction(signs[i] * g[i]) for g in gens]
+           + [Fraction(int(i == r)) for r in range(d)]
+           + [Fraction(signs[i] * target[i])]
+           for i in range(d)]
+    basis = [n + i for i in range(d)]
+    # Reduced costs of the phase-1 objective (sum of artificials), with
+    # its negated value in the last slot.
+    z = [-sum(tab[i][j] for i in range(d)) for j in range(n)] \
+        + [Fraction(0)] * d + [-sum(tab[i][-1] for i in range(d))]
+    while z[-1]:
+        col = next((j for j in range(n + d) if z[j] < 0), None)
+        if col is None:
+            break
+        best = None
+        for i in range(d):
+            a = tab[i][col]
+            if a > 0:
+                key = (tab[i][-1] / a, basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            # Unbounded below is impossible for a sum of nonnegatives.
+            raise RuntimeError(
+                "phase-1 objective unbounded")  # pragma: no cover
+        row = best[1]
+        piv = tab[row]
+        inv = 1 / piv[col]
+        piv[:] = [v * inv for v in piv]
+        for other in tab:
+            f = other[col]
+            if other is not piv and f:
+                other[:] = [v - f * p for v, p in zip(other, piv)]
+        f = z[col]
+        z[:] = [v - f * p for v, p in zip(z, piv)]
+        basis[row] = col
+    if not z[-1]:
+        w = [Fraction(0)] * n
+        for i, b in enumerate(basis):
+            if b < n:
+                w[b] = tab[i][-1]
+        return True, tuple(w)
+    # The reduced cost of artificial i is 1 - pi_i.
+    return False, tuple(signs[i] * (1 - z[n + i]) for i in range(d))
+
+
+def cone_membership(gens: Sequence[Sequence[Fraction]],
+                    target: Sequence[Fraction]
+                    ) -> tuple[bool, tuple[Fraction, ...]]:
+    """Whether ``target`` lies in the cone spanned by ``gens``.
+
+    Returns ``(True, w)`` with ``w >= 0`` and ``sum_j w_j gens[j] ==
+    target``, or ``(False, y)`` with ``y . g <= 0`` for every generator
+    and ``y . target > 0``, a proof that no such combination exists.
+    Both answers are re-checked exactly; a failed check raises
+    RuntimeError.
+    """
+    d = len(target)
+    if any(len(g) != d for g in gens):
+        raise ValueError("generators and target differ in length")
+    inside, vec = _phase_one(gens, target)
+    if inside:
+        ok = (len(vec) == len(gens) and all(w >= 0 for w in vec)
+              and all(sum(w * g[i] for w, g in zip(vec, gens)) == target[i]
+                      for i in range(d)))
+        if not ok:
+            raise RuntimeError(
+                "cone check failed: the weights do not rebuild the target")
+    else:
+        def dot(v):
+            return sum(a * b for a, b in zip(vec, v))
+        ok = (len(vec) == d and dot(target) > 0
+              and all(dot(g) <= 0 for g in gens))
+        if not ok:
+            raise RuntimeError(
+                "cone check failed: the Farkas vector does not separate "
+                "the target from the generators")
+    return inside, vec

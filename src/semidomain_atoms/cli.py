@@ -15,7 +15,11 @@ with ``^`` or ``**`` for powers and an optional ``*`` after the
 coefficient) or as ascending coefficient lists (``[-2, 4, -8, 1]``).
 
 Exit codes: 0 when every reported count is decided, 2 when a search cap
-or certification gap leaves part of the answer open, 1 on bad input.
+or certification gap leaves part of the answer open, 1 on bad input or
+when an internal consistency check fails (a certificate or witness
+re-check, a disagreement between two routes to the same answer); the
+latter prints ``error: internal check failed: ...`` without a
+traceback.
 
 With ``--json`` the result is a canonical single-line JSON document:
 keys sorted, fractions rendered ``"num/den"``, coefficient arrays as
@@ -623,6 +627,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 1
 
 

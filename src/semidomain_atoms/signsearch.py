@@ -27,23 +27,33 @@ Pattern kinds (h denotes the sought product, a multiple of m):
 Decision pipeline per query: a Descartes bound (any h matching the
 pattern has at most 1 or 2 coefficient sign variations, so if m has more
 positive roots counted with multiplicity, no multiple can match — at any
-degree); then exact rational feasibility of the linear system in the
-multiplier's coefficients; then, for the kinds demanding genuinely
-integer coefficients, a depth-first sweep of integer points inside the
-exact feasible region.  Each probed degree builds one Fourier-Motzkin
-projection chain, and the sweep reads every node's range of the next
-coordinate off it, enumerating that range in ascending order (so the
-reported witness is the one with the lexicographically smallest
-multiplier coefficient vector).  A sweep that exhausts the finite
-region without clamping is a proof of integer infeasibility for the
-queried degrees; sweeps cut short by caps report ``ExhaustedCaps`` and
-never a verdict.
+degree); then exact rational feasibility; then, for the kinds demanding
+genuinely integer coefficients, a depth-first sweep of integer points
+inside the exact feasible region.
 
 ``SingleNegativeAt`` and plain ``UnitRepresentation`` are scale-free:
 the defining constraints survive multiplication by positive rationals,
 so a rational solution scales to an integer one by clearing
 denominators, and rational infeasibility already settles the integer
-question for those kinds.
+question for those kinds.  Their rational question is asked once, in
+power-basis residue coordinates r_j = x^j mod m: a matching product of
+degree <= D exists exactly when r_k lies in the cone of the r_j with
+j <= D, j != k, an exact cone-membership LP with deg m rows.  One LP at
+the top degree proves infeasibility for every probed degree at once;
+when it is feasible, a bisection over the degrees finds the lowest
+feasible one, and the witness is the Fourier-Motzkin point of that
+degree's system in the multiplier's coefficients, the witness an
+ascending per-degree scan would report.
+
+The other kinds are systems in the multiplier's coefficients, probed
+degree by degree.  Each probed degree builds one Fourier-Motzkin
+projection chain, and the integer sweep reads every node's range of the
+next coordinate off it, enumerating that range in ascending order (so
+the reported witness is the one with the lexicographically smallest
+multiplier coefficient vector).  A sweep that exhausts the finite
+region without clamping is a proof of integer infeasibility for the
+queried degrees; sweeps cut short by caps report ``ExhaustedCaps`` and
+never a verdict.
 """
 
 from __future__ import annotations
@@ -53,7 +63,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from ._exactlp import Row, coordinate_range, feasible_point, projection_chain
+from ._exactlp import (Row, cone_membership, coordinate_range, feasible_point,
+                       projection_chain)
 from .polycore import IntPoly, RatPoly, content_primitive
 from .rootcount import positive_root_count
 
@@ -322,13 +333,83 @@ def _canonical_integer_witness(kind: PatternKind, f: RatPoly,
     return _checked_witness(kind, fi, fi * m)
 
 
+def _residues(m: IntPoly, top: int) -> list[tuple[Fraction, ...]]:
+    """r_j = x^j mod m in the basis 1, x, ..., x^(d-1), for j = 0..top.
+
+    Each residue is x times the previous one, with x^d replaced by
+    -(m_0 + ... + m_(d-1) x^(d-1)) / lead(m).
+    """
+    d = m.degree
+    tail = [Fraction(c, m.lead) for c in m.coeffs[:-1]]
+    r = [Fraction(int(i == 0)) for i in range(d)]
+    out = [tuple(r)]
+    for _ in range(top):
+        over = r[-1]
+        r = [Fraction(0)] + r[:-1]
+        if over:
+            r = [v - over * c for v, c in zip(r, tail)]
+        out.append(tuple(r))
+    return out
+
+
+def _is_scale_free(kind: PatternKind) -> bool:
+    return isinstance(kind, SingleNegativeAt) or (
+        isinstance(kind, UnitRepresentation) and not kind.unit_only)
+
+
+def _scale_free_feasibility(m: IntPoly, kind: PatternKind,
+                            degrees: list[int]) -> WitnessResult:
+    """The scale-free kinds as cone questions in residue coordinates.
+
+    A product of degree <= D with -1 at position k and nonnegative
+    coefficients elsewhere exists exactly when r_k lies in the cone of
+    r_j, j <= D, j != k.  That cone only grows with D, so one question
+    at the top degree settles infeasibility for every probed degree,
+    and a bisection finds the lowest feasible degree, where
+    ``feasible_point`` then yields the same witness as an ascending
+    per-degree scan would.
+    """
+    k = kind.power if isinstance(kind, SingleNegativeAt) else 0
+    res = _residues(m, degrees[-1]) if degrees else []
+
+    def cone_reach(top: int) -> Optional[int]:
+        """Highest degree the combination uses, or None outside the cone."""
+        js = [j for j in range(top + 1) if j != k]
+        inside, w = cone_membership([res[j] for j in js], res[k])
+        if not inside:
+            return None
+        return max((j for j, wj in zip(js, w) if wj), default=0)
+
+    reach = cone_reach(degrees[-1]) if degrees else None
+    if reach is None:
+        return InfeasibleProven(
+            "linear", "query",
+            note=f"rationally infeasible at product degrees {degrees!r}")
+    # degrees is consecutive; the combination found bounds the answer.
+    lo, hi = 0, max(reach - degrees[0], 0)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cone_reach(degrees[mid]) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    prod_deg = degrees[lo]
+    point = feasible_point(_pattern_rows(m, kind, prod_deg),
+                           prod_deg - m.degree + 1)
+    if point is None:
+        raise RuntimeError(
+            f"engines disagree: the cone test finds {kind!r} feasible at "
+            f"product degree {prod_deg}, elimination does not")
+    return _canonical_integer_witness(kind, RatPoly(point), m)
+
+
 def rational_feasibility(m: IntPoly, kind: PatternKind,
                          caps: Caps = Caps()) -> WitnessResult:
     """Exact feasibility of the pattern with rational coefficients.
 
-    Probes admissible product degrees in ascending order and returns the
-    first witness found.  For the scale-free kinds (and the strong-prefix
-    pattern, which is rational by definition) the witness is already the
+    Returns the witness at the lowest feasible admissible product
+    degree.  For the scale-free kinds (and the strong-prefix pattern,
+    which is rational by definition) the witness is already the
     canonical integer one; for the integer-pinned kinds the witness is
     the rational relaxation point and only signals that an integer sweep
     is worthwhile.  Infeasibility at all probed degrees is a proof for
@@ -336,6 +417,8 @@ def rational_feasibility(m: IntPoly, kind: PatternKind,
     """
     _validate(m, kind)
     degrees = _probe_degrees(m, kind, caps)
+    if _is_scale_free(kind):
+        return _scale_free_feasibility(m, kind, degrees)
     for prod_deg in degrees:
         t = prod_deg - m.degree
         rows = _pattern_rows(m, kind, prod_deg)
@@ -343,10 +426,8 @@ def rational_feasibility(m: IntPoly, kind: PatternKind,
         if point is None:
             continue
         f = RatPoly(point)
-        if isinstance(kind, (SingleNegativeAt, UnitRepresentation,
-                             StrongPrefixPattern)):
-            if not (isinstance(kind, UnitRepresentation) and kind.unit_only):
-                return _canonical_integer_witness(kind, f, m)
+        if isinstance(kind, StrongPrefixPattern):
+            return _canonical_integer_witness(kind, f, m)
         return _checked_witness(kind, f, f * m.to_rat())
     return InfeasibleProven(
         "linear", "query",
@@ -420,8 +501,7 @@ def integer_witness_search(m: IntPoly, kind: PatternKind,
     pruned = descartes_prune(m, kind)
     if pruned is not None:
         return pruned
-    if isinstance(kind, SingleNegativeAt) or (
-            isinstance(kind, UnitRepresentation) and not kind.unit_only):
+    if _is_scale_free(kind):
         return rational_feasibility(m, kind, caps)
 
     # Integer-pinned kinds: per degree, one projection chain (None when

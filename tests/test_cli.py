@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from semidomain_atoms import IntPoly
+from semidomain_atoms import IntPoly, cli
 from semidomain_atoms.cli import (PolynomialParseError, main,
                                   parse_polynomial)
 
@@ -237,6 +237,20 @@ class TestTransformCommand:
         code, _, _ = run(capsys, "transform", "[-2,4,-8,1]", "2",
                          "--cross-check", "--verify")
         assert code == 0
+
+    def test_cross_check_disagreement_exits_cleanly(self, capsys,
+                                                    monkeypatch):
+        def disagree(*args, **kwargs):
+            raise RuntimeError("scaling law and direct analysis disagree "
+                               "on strong for k=2: 8 vs 9")
+        monkeypatch.setattr(cli, "transform_scale", disagree)
+        code, out, err = run(capsys, "transform", "[-2,4,-8,1]", "2",
+                             "--cross-check")
+        assert code == 1 and out == ""
+        assert err == ("error: internal check failed: scaling law and "
+                       "direct analysis disagree on strong for k=2: "
+                       "8 vs 9\n")
+        assert "Traceback" not in err
 
     def test_reducible_substitution(self, capsys):
         code, _, err = run(capsys, "transform", "x^2 - 3x + 1", "2")

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from semidomain_atoms._exactlp import (coordinate_range, feasible_point,
-                                       projection_chain, variable_range)
+from semidomain_atoms import _exactlp
+from semidomain_atoms._exactlp import (cone_membership, coordinate_range,
+                                       feasible_point, projection_chain,
+                                       variable_range)
 
 F = Fraction
 
@@ -201,3 +203,115 @@ class TestProjectionChain:
                 feasible += 1
                 prefix.append(rng.randint(math.ceil(lo), math.floor(hi)))
         assert feasible >= 60
+
+
+def solve_exact(cols, target):
+    """The unique w with sum_j w_j cols[j] == target, or None when the
+    columns are dependent or the system is inconsistent."""
+    d, n = len(target), len(cols)
+    aug = [[F(c[i]) for c in cols] + [F(target[i])] for i in range(d)]
+    row = 0
+    pivots = []
+    for col in range(n + 1):
+        piv = next((r for r in range(row, d) if aug[r][col]), None)
+        if piv is None:
+            continue
+        if col == n:
+            return None  # a row reads 0 = nonzero
+        aug[row], aug[piv] = aug[piv], aug[row]
+        aug[row] = [v / aug[row][col] for v in aug[row]]
+        for r in range(d):
+            if r != row and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+    if len(pivots) < n:
+        return None
+    return tuple(aug[i][n] for i in range(n))
+
+
+def caratheodory_in_cone(gens, target):
+    """Brute force: by Caratheodory's theorem the target is in the cone
+    iff some set of at most d independent generators rebuilds it with
+    nonnegative weights."""
+    d = len(target)
+    for size in range(min(d, len(gens)) + 1):
+        for pick in itertools.combinations(gens, size):
+            w = solve_exact(pick, target)
+            if w is not None and all(v >= 0 for v in w):
+                return True
+    return False
+
+
+def check_cone_answer(gens, target, answer):
+    inside, vec = answer
+    if inside:
+        assert len(vec) == len(gens) and all(w >= 0 for w in vec)
+        assert all(sum(w * g[i] for w, g in zip(vec, gens)) == target[i]
+                   for i in range(len(target)))
+    else:
+        def dot(v):
+            return sum(a * b for a, b in zip(vec, v))
+        assert dot(target) > 0 and all(dot(g) <= 0 for g in gens)
+
+
+class TestConeMembership:
+    def test_random_against_caratheodory(self):
+        rng = random.Random(515)
+        inside = 0
+        for trial in range(300):
+            d = rng.randint(1, 3)
+            gens = [tuple(F(rng.randint(-3, 3)) for _ in range(d))
+                    for _ in range(rng.randint(0, 6))]
+            target = tuple(F(rng.randint(-3, 3)) for _ in range(d))
+            answer = cone_membership(gens, target)
+            assert answer[0] == caratheodory_in_cone(gens, target), \
+                (gens, target)
+            check_cone_answer(gens, target, answer)
+            inside += answer[0]
+        assert 60 <= inside <= 240
+
+    def test_zero_target(self):
+        gens = [(F(1), F(-2)), (F(-3), F(1))]
+        assert cone_membership(gens, (F(0), F(0))) == (True, (F(0), F(0)))
+
+    def test_empty_generators(self):
+        assert cone_membership([], (F(0), F(0))) == (True, ())
+        target = (F(-2), F(3))
+        answer = cone_membership([], target)
+        assert answer[0] is False
+        check_cone_answer([], target, answer)
+
+    def test_parallel_generators(self):
+        gens = [(F(1), F(2)), (F(2), F(4)), (F(3), F(6))]
+        answer = cone_membership(gens, (F(5), F(10)))
+        assert answer[0] is True
+        check_cone_answer(gens, (F(5), F(10)), answer)
+        for target in ((F(-1), F(-2)), (F(1), F(0))):
+            answer = cone_membership(gens, target)
+            assert answer[0] is False
+            check_cone_answer(gens, target, answer)
+
+    def test_degenerate_pivot(self):
+        # The first entering column has a zero ratio in row 0, so the
+        # first pivot leaves the objective unchanged.
+        gens = [(F(1), F(1)), (F(-1), F(1))]
+        assert cone_membership(gens, (F(0), F(1))) == (True,
+                                                       (F(1, 2), F(1, 2)))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            cone_membership([(F(1),)], (F(1), F(0)))
+
+    @pytest.mark.parametrize("fake", [
+        (True, (F(-1), F(2))),  # a negative weight
+        (True, (F(1), F(1))),  # weights that miss the target
+        (False, (F(1), F(0))),  # y . target is not positive
+        (False, (F(0), F(1))),  # y . g > 0 for a generator
+    ])
+    def test_recheck_failures_raise(self, monkeypatch, fake):
+        monkeypatch.setattr(_exactlp, "_phase_one", lambda g, t: fake)
+        gens = [(F(1), F(0)), (F(0), F(1))]
+        with pytest.raises(RuntimeError, match="cone check failed"):
+            cone_membership(gens, (F(0), F(2)))

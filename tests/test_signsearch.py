@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,8 @@ from semidomain_atoms import (Caps, ExhaustedCaps, InfeasibleProven, IntPoly,
                               Witness, descartes_prune, integer_witness_search,
                               pattern_matches, pattern_max_variations,
                               rational_feasibility)
+from semidomain_atoms._exactlp import feasible_point
+from semidomain_atoms.signsearch import _pattern_rows, _probe_degrees
 
 from conftest import BINOMIAL, CUBE, GOLDEN, P, THREE_ROOTS, TWO_ROOTS
 
@@ -249,3 +252,48 @@ class TestCaps:
         res = integer_witness_search(GOLDEN,
                                      UnitRepresentation(6, unit_only=True))
         assert isinstance(res, InfeasibleProven)
+
+
+def per_degree_reference(m, kind, caps):
+    """The ascending per-degree elimination scan, kept as the reference
+    for the scale-free kinds' single cone question."""
+    degrees = _probe_degrees(m, kind, caps)
+    for prod_deg in degrees:
+        point = feasible_point(_pattern_rows(m, kind, prod_deg),
+                               prod_deg - m.degree + 1)
+        if point is not None:
+            _, f = RatPoly(point).primitive_part()
+            return Witness(f, f * m)
+    return InfeasibleProven(
+        "linear", "query",
+        note=f"rationally infeasible at product degrees {degrees!r}")
+
+
+def seeded_scale_free_cases():
+    rng = random.Random(2024)
+    cases = [(P(-1, 0, -3, 2), SingleNegativeAt(0, 10), 10),
+             (TWO_ROOTS, SingleNegativeAt(1, 10), 10)]
+    while len(cases) < 60:
+        d = rng.randint(2, 4)
+        cs = [rng.randint(-4, 4) for _ in range(d + 1)]
+        if cs[0] == 0 or cs[-1] == 0:
+            continue
+        k = rng.randint(0, 2)
+        cap = rng.randint(max(k, 1), 10)
+        kind = (UnitRepresentation(cap) if k == 0 and rng.random() < 0.5
+                else SingleNegativeAt(k, cap))
+        cases.append((IntPoly(cs), kind, rng.randint(1, 10)))
+    return cases
+
+
+class TestConeRouteMatchesPerDegreeScan:
+    @pytest.mark.parametrize("m,kind,max_deg", seeded_scale_free_cases())
+    def test_same_result(self, m, kind, max_deg):
+        caps = Caps(max_witness_deg=max_deg)
+        got = rational_feasibility(m, kind, caps)
+        assert repr(got) == repr(per_degree_reference(m, kind, caps))
+
+    def test_cases_cover_both_answers(self):
+        kinds = {type(per_degree_reference(m, kind, Caps(max_witness_deg=d)))
+                 for m, kind, d in seeded_scale_free_cases()}
+        assert kinds == {Witness, InfeasibleProven}

@@ -5,11 +5,11 @@ import pathlib
 
 import pytest
 
-from semidomain_atoms import (MonicAtomPattern, StrongPrefixPattern,
-                              integer_witness_search, rational_feasibility,
-                              signsearch)
+from semidomain_atoms import (MonicAtomPattern, SingleNegativeAt,
+                              StrongPrefixPattern, integer_witness_search,
+                              rational_feasibility, signsearch)
 
-from conftest import CUBE
+from conftest import CUBE, TWO_ROOTS
 
 PACKAGE = pathlib.Path(signsearch.__file__).parent
 
@@ -35,3 +35,11 @@ def test_rejected_witness_raises(monkeypatch, search):
     monkeypatch.setattr(signsearch, "pattern_matches", lambda kind, p: False)
     with pytest.raises(RuntimeError, match="witness check failed"):
         search()
+
+
+def test_cone_and_elimination_disagreement_raises(monkeypatch):
+    # The cone test finds x^2 - 3x + 1 itself; elimination is made to
+    # find nothing at that degree.
+    monkeypatch.setattr(signsearch, "feasible_point", lambda rows, n: None)
+    with pytest.raises(RuntimeError, match="engines disagree"):
+        rational_feasibility(TWO_ROOTS, SingleNegativeAt(1, 6))
