@@ -35,7 +35,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -211,7 +211,8 @@ def _pattern_json(kind) -> dict:
 def _cert_json(cert) -> dict:
     name = type(cert).__name__
     out: dict = {"type": name}
-    for field_name, value in vars(cert).items():
+    for f in fields(cert):
+        field_name, value = f.name, getattr(cert, f.name)
         if isinstance(value, (IntPoly, RatPoly)):
             out[field_name] = _poly_json(value)
         elif isinstance(value, (Finite, Infinite, AtLeast)):
@@ -260,9 +261,7 @@ def _pair_lines(m: IntPoly, res: PairResult) -> list[str]:
 
 
 def _cert_human(cert) -> str:
-    parts = []
-    for field_name, value in vars(cert).items():
-        parts.append(f"{field_name}={value}")
+    parts = [f"{f.name}={getattr(cert, f.name)}" for f in fields(cert)]
     return f"{type(cert).__name__}({', '.join(parts)})"
 
 

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Irreducible:
     """Positive certificate; ``method`` says which argument applies."""
 
@@ -48,7 +48,7 @@ class Irreducible:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reducible:
     """Negative certificate: ``factor`` properly divides the input."""
 
@@ -58,7 +58,7 @@ class Reducible:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unknown:
     reason: str
 
@@ -66,7 +66,7 @@ class Unknown:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorSearchCaps:
     max_candidates: int = 200_000
 

@@ -30,7 +30,7 @@ exceeds the atom count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -86,7 +86,7 @@ class UnsupportedInputError(ValueError):
 # Counts.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finite:
     value: int
 
@@ -94,7 +94,7 @@ class Finite:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Infinite:
     reason: str
 
@@ -102,7 +102,7 @@ class Infinite:
         return "infinite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtLeast:
     """Search stopped at this lower bound; not a verdict."""
 
@@ -137,7 +137,7 @@ def counts_equal(a: Count, b: Count) -> bool:
 # Certificates.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiplierWitness:
     role: str  # "atom-decomposition" | "strong-prefix" | "non-strong-power"
     #          | "non-atomicity"
@@ -146,7 +146,7 @@ class MultiplierWitness:
     pattern: PatternKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescartesBound:
     role: str
     positive_roots: int
@@ -154,7 +154,7 @@ class DescartesBound:
     pattern: Optional[PatternKind] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinomialRelation:
     """m = b*x^n - a certifies a*alpha^k = b*alpha^(n+k) for every k."""
 
@@ -163,18 +163,18 @@ class BinomialRelation:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Degree2Case:
     case: int  # 1..4
     subcase: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EisensteinPrime:
     p: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransformScaling:
     k: int
     base_polynomial: IntPoly
@@ -182,13 +182,13 @@ class TransformScaling:
     base_atoms: Count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UfmMinimalPair:
     p: IntPoly
     q: IntPoly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomicityDetector:
     kind: str  # "all-nonnegative-coefficients" | "constant-magnitude"
     #          | "two-positive-roots" | "root-exceeds-one" | "non-monic-lead"
@@ -200,7 +200,7 @@ Certificate = Union[MultiplierWitness, DescartesBound, BinomialRelation,
                     UfmMinimalPair, AtomicityDetector]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairResult:
     strong: Count
     atoms: Count
@@ -225,7 +225,7 @@ class PairResult:
 # Input spec.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgebraicNumberSpec:
     """A positive algebraic number, given by its minimal polynomial.
 
@@ -278,17 +278,17 @@ class AlgebraicNumberSpec:
 # Atomicity.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atomic:
     certificate: Certificate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotAtomic:
     witness: Witness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UndecidedAtomicity:
     note: str
 
@@ -514,6 +514,8 @@ def count_atoms(spec: AlgebraicNumberSpec, caps: Caps = Caps(),
             return Finite(n), certs + (cert,)
         if isinstance(res, ExhaustedCaps):
             return AtLeast(n), certs
+        if isinstance(res, InfeasibleProven) and res.scope == "all-degrees":
+            break  # no later power decomposes either
     return AtLeast(caps.max_witness_deg + 1), certs
 
 

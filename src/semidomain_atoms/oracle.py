@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleCaps:
     """Enumeration bounds: largest exponent and largest multiset size."""
 
@@ -56,14 +56,14 @@ class OracleCaps:
             raise ValueError("need max_power >= 0 and max_total >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonoidElement:
     """Exact power-basis coordinates of an element (modulus implied)."""
 
     coords: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorizationMultiset:
     """A multiset of generator exponents, stored ascending."""
 
@@ -218,14 +218,14 @@ def enumerate_factorizations(target: Union[MonoidElement, IntPoly],
     return tuple(FactorizationMultiset(f) for f in sorted(found))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrongUpTo:
     """No alternative representation found for any multiple up to n_max."""
 
     n_max: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonStrong:
     """Some multiple of the power has a second representation."""
 

@@ -80,6 +80,11 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
+    def __reduce__(self):
+        # Copy and pickle through the constructor: the default route
+        # restores the slot with setattr, which immutability refuses.
+        return (type(self), (self.coeffs,))
+
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -234,6 +239,11 @@ class RatPoly:
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
 
+    def __reduce__(self):
+        # Copy and pickle through the constructor: the default route
+        # restores the slot with setattr, which immutability refuses.
+        return (type(self), (self.coeffs,))
+
     @classmethod
     def zero(cls) -> "RatPoly":
         return cls(())
@@ -358,7 +368,7 @@ def content_primitive(a: IntPoly) -> tuple[int, IntPoly]:
     return g, IntPoly(tuple(c // g for c in a.coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimalPair:
     """Canonical decomposition r*f = p - q of a nonzero rational polynomial.
 

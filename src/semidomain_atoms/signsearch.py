@@ -24,36 +24,51 @@ Pattern kinds (h denotes the sought product, a multiple of m):
   coefficients must sum to at least 2, i.e. the element 1 itself
   decomposes nontrivially.
 
-Decision pipeline per query: a Descartes bound (any h matching the
-pattern has at most 1 or 2 coefficient sign variations, so if m has more
-positive roots counted with multiplicity, no multiple can match — at any
-degree); then exact rational feasibility; then, for the kinds demanding
-genuinely integer coefficients, a depth-first sweep of integer points
-inside the exact feasible region.
+Decision pipeline per query, cheapest proof first:
+
+1. A Descartes bound: any h matching the pattern has at most 1 or 2
+   coefficient sign variations, so if m has more positive roots counted
+   with multiplicity, no multiple can match, at any degree.
+2. For ``MonicAtomPattern``, the root box: if m has a root beta in
+   (0, 1), the relation beta^n = sum_{j<n} y_j beta^j with integers
+   y_j >= 0 is impossible (any y_j >= 1 already exceeds beta^n), again
+   at every degree.
+3. The rational relaxation in power-basis residue coordinates
+   r_j = x^j mod m, where h is a multiple of m exactly when
+   sum_j h_j r_j = 0: an exact cone-membership LP with deg m rows
+   (when each kind asks it is set out below; ``StrongPrefixPattern``
+   does not yet).
+4. For what survives, Fourier-Motzkin elimination over the
+   multiplier's coefficients and, for the kinds demanding genuinely
+   integer coefficients, a depth-first sweep of integer points inside
+   the exact feasible region.
 
 ``SingleNegativeAt`` and plain ``UnitRepresentation`` are scale-free:
 the defining constraints survive multiplication by positive rationals,
 so a rational solution scales to an integer one by clearing
 denominators, and rational infeasibility already settles the integer
-question for those kinds.  Their rational question is asked once, in
-power-basis residue coordinates r_j = x^j mod m: a matching product of
-degree <= D exists exactly when r_k lies in the cone of the r_j with
-j <= D, j != k, an exact cone-membership LP with deg m rows.  One LP at
-the top degree proves infeasibility for every probed degree at once;
-when it is feasible, a bisection over the degrees finds the lowest
-feasible one, and the witness is the Fourier-Motzkin point of that
-degree's system in the multiplier's coefficients, the witness an
-ascending per-degree scan would report.
+question for those kinds.  A matching product of degree <= D exists
+exactly when r_k lies in the cone of the r_j with j <= D, j != k.  That
+cone grows with D: the lowest probed degree is asked first, then the
+top one, which proves infeasibility for every probed degree at once,
+and a bisection finds the lowest feasible degree.  The witness is the
+Fourier-Motzkin point of that degree's system in the multiplier's
+coefficients, the witness an ascending per-degree scan would report.
 
-The other kinds are systems in the multiplier's coefficients, probed
-degree by degree.  Each probed degree builds one Fourier-Motzkin
-projection chain, and the integer sweep reads every node's range of the
-next coordinate off it, enumerating that range in ascending order (so
-the reported witness is the one with the lexicographically smallest
-multiplier coefficient vector).  A sweep that exhausts the finite
-region without clamping is a proof of integer infeasibility for the
-queried degrees; sweeps cut short by caps report ``ExhaustedCaps`` and
-never a verdict.
+The integer-pinned kinds use the same residues to drop degrees before
+eliminating.  The unit-only kind's relaxation is plain
+``UnitRepresentation`` (no integrality, no sum >= 2 row), so no degree
+below its lowest feasible one is swept.  A monic-atom degree n is
+dropped when r_n is outside the cone of r_0..r_(n-1), asked only when
+that LP's deg m rows are fewer than the n - deg m + 1 unknowns
+elimination would handle.  Each surviving degree builds one
+Fourier-Motzkin projection chain, and the integer sweep reads every
+node's range of the next coordinate off it, enumerating that range in
+ascending order (so the reported witness is the one with the
+lexicographically smallest multiplier coefficient vector).  A sweep
+that exhausts the finite region without clamping is a proof of integer
+infeasibility for the queried degrees; sweeps cut short by caps report
+``ExhaustedCaps`` and never a verdict.
 """
 
 from __future__ import annotations
@@ -61,12 +76,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 from ._exactlp import (Row, cone_membership, coordinate_range, feasible_point,
                        projection_chain)
 from .polycore import IntPoly, RatPoly, content_primitive
-from .rootcount import positive_root_count
+from .rootcount import SturmChain, positive_root_count, squarefree_part
 
 __all__ = [
     "Caps",
@@ -85,7 +101,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Caps:
     """Search budget: witness degree, coefficient magnitude, sweep nodes."""
 
@@ -102,7 +118,7 @@ class Caps:
             raise ValueError("max_nodes must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonicAtomPattern:
     power: int  # n: the product is monic of degree exactly n
 
@@ -111,7 +127,7 @@ class MonicAtomPattern:
             raise ValueError("power must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrongPrefixPattern:
     degree: int  # s: the product has degree exactly s
 
@@ -120,7 +136,7 @@ class StrongPrefixPattern:
             raise ValueError("degree must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SingleNegativeAt:
     power: int  # k: position of the unique negative coefficient
     degree_cap: int  # D: product degree at most D
@@ -132,7 +148,7 @@ class SingleNegativeAt:
             raise ValueError("degree cap below the negative position")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitRepresentation:
     degree_cap: int
     unit_only: bool = False  # pin the constant to exactly -1
@@ -146,7 +162,7 @@ PatternKind = Union[MonicAtomPattern, StrongPrefixPattern, SingleNegativeAt,
                     UnitRepresentation]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """A verified multiplier/product pair: product == multiplier * modulus."""
 
@@ -154,25 +170,29 @@ class Witness:
     product: Union[IntPoly, RatPoly]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InfeasibleProven:
     """No pattern-matching multiple exists.
 
     reason "descartes": the pattern admits fewer sign variations than
     the modulus has positive roots — valid at every degree
-    (scope "all-degrees").  reason "linear": the exact feasible region
-    for the queried degrees contains no solution (rationally empty, or
-    swept completely without an integer point) — scope "query".
+    (scope "all-degrees").  reason "root-box": a monic-atom pattern
+    against a modulus with a root in (0, 1), whose powers no sum of
+    lower powers with nonnegative integer coefficients can reach —
+    also scope "all-degrees".  reason "linear": the exact feasible
+    region for the queried degrees contains no solution (rationally
+    empty, or swept completely without an integer point) — scope
+    "query".
     """
 
-    reason: str  # "descartes" | "linear"
+    reason: str  # "descartes" | "root-box" | "linear"
     scope: str  # "all-degrees" | "query"
     positive_roots: Optional[int] = None
     max_variations: Optional[int] = None
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExhaustedCaps:
     note: str = ""
 
@@ -357,20 +377,20 @@ def _is_scale_free(kind: PatternKind) -> bool:
         isinstance(kind, UnitRepresentation) and not kind.unit_only)
 
 
-def _scale_free_feasibility(m: IntPoly, kind: PatternKind,
-                            degrees: list[int]) -> WitnessResult:
-    """The scale-free kinds as cone questions in residue coordinates.
+def _lowest_cone_degree(m: IntPoly, k: int,
+                        degrees: list[int]) -> Optional[int]:
+    """Lowest probed degree D at which r_k lies in the cone of the r_j,
+    j <= D, j != k; None when it lies in none of them.
 
-    A product of degree <= D with -1 at position k and nonnegative
-    coefficients elsewhere exists exactly when r_k lies in the cone of
-    r_j, j <= D, j != k.  That cone only grows with D, so one question
-    at the top degree settles infeasibility for every probed degree,
-    and a bisection finds the lowest feasible degree, where
-    ``feasible_point`` then yields the same witness as an ascending
-    per-degree scan would.
+    ``degrees`` is consecutive and the cone only grows with D.  The
+    lowest degree is asked first, since small feasible probes are
+    settled there with few generators; otherwise one question at the
+    top degree settles infeasibility for every degree at once, and a
+    bisection finds the lowest feasible one.
     """
-    k = kind.power if isinstance(kind, SingleNegativeAt) else 0
-    res = _residues(m, degrees[-1]) if degrees else []
+    if not degrees:
+        return None
+    res = _residues(m, degrees[0])
 
     def cone_reach(top: int) -> Optional[int]:
         """Highest degree the combination uses, or None outside the cone."""
@@ -380,20 +400,41 @@ def _scale_free_feasibility(m: IntPoly, kind: PatternKind,
             return None
         return max((j for j, wj in zip(js, w) if wj), default=0)
 
-    reach = cone_reach(degrees[-1]) if degrees else None
+    if cone_reach(degrees[0]) is not None:
+        return degrees[0]
+    if len(degrees) == 1:
+        return None
+    res = _residues(m, degrees[-1])
+    reach = cone_reach(degrees[-1])
     if reach is None:
-        return InfeasibleProven(
-            "linear", "query",
-            note=f"rationally infeasible at product degrees {degrees!r}")
-    # degrees is consecutive; the combination found bounds the answer.
-    lo, hi = 0, max(reach - degrees[0], 0)
+        return None
+    # degrees[0] is outside, so the combination found reaches above it
+    # and bounds the answer.
+    lo, hi = 1, reach - degrees[0]
     while lo < hi:
         mid = (lo + hi) // 2
         if cone_reach(degrees[mid]) is None:
             lo = mid + 1
         else:
             hi = mid
-    prod_deg = degrees[lo]
+    return degrees[lo]
+
+
+def _scale_free_feasibility(m: IntPoly, kind: PatternKind,
+                            degrees: list[int]) -> WitnessResult:
+    """The scale-free kinds as cone questions in residue coordinates.
+
+    A product of degree <= D with -1 at position k and nonnegative
+    coefficients elsewhere exists exactly when r_k lies in the cone of
+    r_j, j <= D, j != k.  At the lowest such D, ``feasible_point`` then
+    yields the same witness as an ascending per-degree scan would.
+    """
+    k = kind.power if isinstance(kind, SingleNegativeAt) else 0
+    prod_deg = _lowest_cone_degree(m, k, degrees)
+    if prod_deg is None:
+        return InfeasibleProven(
+            "linear", "query",
+            note=f"rationally infeasible at product degrees {degrees!r}")
     point = feasible_point(_pattern_rows(m, kind, prod_deg),
                            prod_deg - m.degree + 1)
     if point is None:
@@ -485,31 +526,79 @@ def _integer_sweep(chain: list[list[Row]], caps: Caps, budget: _NodeBudget
     return rec([])
 
 
+def _root_box(m: IntPoly, kind: PatternKind) -> Optional[InfeasibleProven]:
+    """Integer infeasibility of every monic-atom degree, from a root in (0, 1).
+
+    A matching product vanishes at every root beta of m, so
+    beta^n = sum_{j<n} y_j beta^j with integers y_j >= 0.  When
+    0 < beta < 1, any y_j >= 1 makes the right side at least
+    beta^j > beta^n, and y = 0 leaves beta^n = 0; so no power
+    decomposes, whatever n.
+    """
+    if isinstance(kind, MonicAtomPattern) and _has_root_below_one(m):
+        return InfeasibleProven("root-box", "all-degrees")
+    return None
+
+
+@lru_cache(maxsize=8192)
+def _has_root_below_one(m: IntPoly) -> bool:
+    """Whether m has a real root strictly between 0 and 1."""
+    g = squarefree_part(m)
+    # count_in covers (0, 1]; a root at 1 itself does not count.
+    return SturmChain(g).count_in(Fraction(0), Fraction(1)) - (g(1) == 0) > 0
+
+
+def _relaxed_degrees(m: IntPoly, kind: PatternKind,
+                     degrees: list[int]) -> list[int]:
+    """The probed degrees an integer-pinned kind still has to sweep.
+
+    Drops the degrees at which the rational relaxation in residue
+    coordinates is already infeasible.  For the unit-only kind that
+    relaxation is plain ``UnitRepresentation``, whose cone grows with
+    the degree, so the degrees below its lowest feasible one go.  A
+    monic-atom degree n goes when r_n is outside the cone of
+    r_0..r_(n-1); that question has deg m rows, so it is asked only
+    when elimination would work on more unknowns than that (its
+    projection chain already comes out None on an infeasible system).
+    """
+    if isinstance(kind, UnitRepresentation):
+        lowest = _lowest_cone_degree(m, 0, degrees)
+        return [] if lowest is None else degrees[degrees.index(lowest):]
+    n, d = kind.power, m.degree
+    if not degrees or n - d + 1 <= d:
+        return degrees
+    res = _residues(m, n)
+    inside, _ = cone_membership(res[:n], res[n])
+    return degrees if inside else []
+
+
 def integer_witness_search(m: IntPoly, kind: PatternKind,
                            caps: Caps = Caps()) -> WitnessResult:
     """Find an integer pattern witness, or prove there is none.
 
     The strong-prefix kind is inherently rational and is served by
     rational_feasibility; all other kinds are accepted here.  Pipeline:
-    Descartes prune (all-degrees proof), rational relaxation, and — for
-    the kinds whose constraints do not scale — the exact integer sweep.
+    Descartes prune and, for the monic-atom kind, the root box (both
+    all-degrees proofs); the rational relaxation; and, for the kinds
+    whose constraints do not scale, the exact integer sweep.
     """
     if isinstance(kind, StrongPrefixPattern):
         raise ValueError("strong-prefix queries are rational; "
                          "use rational_feasibility")
     _validate(m, kind)
-    pruned = descartes_prune(m, kind)
+    pruned = descartes_prune(m, kind) or _root_box(m, kind)
     if pruned is not None:
         return pruned
     if _is_scale_free(kind):
         return rational_feasibility(m, kind, caps)
 
-    # Integer-pinned kinds: per degree, one projection chain (None when
-    # rationally infeasible), then the sweep over it.
+    # Integer-pinned kinds: the residue relaxation drops degrees, then
+    # per remaining degree one projection chain (None when rationally
+    # infeasible) and the sweep over it.
     budget = _NodeBudget(caps.max_nodes)
     degrees = _probe_degrees(m, kind, caps)
     all_complete = True
-    for prod_deg in degrees:
+    for prod_deg in _relaxed_degrees(m, kind, degrees):
         t = prod_deg - m.degree
         rows = _pattern_rows(m, kind, prod_deg)
         chain = projection_chain(rows, t + 1)

@@ -45,7 +45,7 @@ __all__ = [
 _FAMILY_BASE = IntPoly((-2, 4, -8, 1))  # x^3 - 8x^2 + 4x - 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyParams:
     """Family member selector: stretch factor k >= 1, shift c >= 0."""
 

@@ -108,6 +108,33 @@ class TestAnalyzeCommand:
         second.pop("timing_ms")
         assert first == second
 
+    def test_flagship_json_pinned(self, capsys):
+        _, doc = run_json(capsys, "analyze", "[-2,4,-8,1]", "--json")
+        doc.pop("timing_ms")
+        assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == (
+            '{"command":"analyze","modulus":["-2","4","-8","1"],"result":'
+            '{"atoms":{"kind":"finite","value":5},"certificates":['
+            '{"detail":"-2","kind":"constant-magnitude",'
+            '"type":"AtomicityDetector"},'
+            '{"multiplier":["1","2","1"],'
+            '"pattern":{"kind":"monic-atom","power":5},'
+            '"product":["-2","0","-2","-11","-6","1"],'
+            '"role":"atom-decomposition","type":"MultiplierWitness"},'
+            '{"multiplier":["1","2"],'
+            '"pattern":{"degree":4,"kind":"strong-prefix"},'
+            '"product":["-2","0","0","-15","2"],'
+            '"role":"strong-prefix","type":"MultiplierWitness"}],'
+            '"decided":true,"strong_atoms":{"kind":"finite","value":4}},'
+            '"schema":"semidomain-atoms/1"}')
+
+    def test_flagship_human_certificates(self, capsys):
+        _, out, _ = run(capsys, "analyze", "[-2,4,-8,1]")
+        assert ("  - AtomicityDetector(kind=constant-magnitude, detail=-2)"
+                in out.splitlines())
+        assert ("  - MultiplierWitness(role=strong-prefix, multiplier=2x + 1,"
+                " product=2x^4 - 15x^3 - 2,"
+                " pattern=StrongPrefixPattern(degree=4))" in out.splitlines())
+
     def test_verify_flag(self, capsys):
         code, _, _ = run(capsys, "analyze", "[-2,4,-8,1]", "--verify")
         assert code == 0

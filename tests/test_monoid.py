@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+from fractions import Fraction as F
+
 import pytest
 
 from semidomain_atoms import (AlgebraicNumberSpec, AtLeast, Atomic,
@@ -5,6 +10,7 @@ from semidomain_atoms import (AlgebraicNumberSpec, AtLeast, Atomic,
                               Degree2Case, DescartesBound, EisensteinPrime,
                               Finite, Infinite, IntPoly, MonicAtomPattern,
                               MultiplierWitness, NotAtomic, PairResult,
+                              RatPoly,
                               SingleNegativeAt, StrongPrefixPattern,
                               TransformScaling, UfmMinimalPair,
                               UndecidedAtomicity, UnitRepresentation,
@@ -459,3 +465,43 @@ class TestVerifyCertificate:
     def test_unknown_certificate_type(self):
         with pytest.raises(TypeError):
             verify_certificate("bogus", CUBE)
+
+
+def _value_objects(obj):
+    """obj and every dataclass instance reachable through its fields."""
+    yield obj
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _value_objects(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _value_objects(item)
+
+
+# The flagship; a quadratic settled by the degree-2 table once the
+# unit-only relaxation is refuted; a quartic whose 1 decomposes.
+PICKLE_CASES = [CUBE, P(-1, -1, 3), P(-1, 3, 2, -3, 1)]
+
+
+class TestValueClasses:
+    @pytest.mark.parametrize("poly", PICKLE_CASES)
+    def test_results_round_trip(self, poly):
+        res = analyze(spec_of(poly))
+        assert pickle.loads(pickle.dumps(res)) == res
+        assert copy.deepcopy(res) == res
+        assert repr(copy.copy(res)) == repr(res)
+
+    def test_polynomials_round_trip(self):
+        for poly in (CUBE, RatPoly((F(1, 2), 3)), IntPoly(()), RatPoly(())):
+            for back in (pickle.loads(pickle.dumps(poly)),
+                         copy.deepcopy(poly)):
+                assert back == poly and type(back) is type(poly)
+
+    @pytest.mark.parametrize("poly", PICKLE_CASES)
+    def test_no_instance_dict(self, poly):
+        spec = spec_of(poly)
+        found = list(_value_objects(analyze(spec)))
+        found += [spec.irreducibility, atomicity_check(spec), Caps()]
+        assert len(found) > 3
+        for obj in found:
+            assert not hasattr(obj, "__dict__"), type(obj)

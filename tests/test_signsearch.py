@@ -3,14 +3,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from semidomain_atoms import (Caps, ExhaustedCaps, InfeasibleProven, IntPoly,
-                              MonicAtomPattern, RatPoly, SingleNegativeAt,
-                              StrongPrefixPattern, UnitRepresentation,
-                              Witness, descartes_prune, integer_witness_search,
+from semidomain_atoms import (AlgebraicNumberSpec, AtLeast, Caps,
+                              ExhaustedCaps, Finite, InfeasibleProven,
+                              Infinite, IntPoly, MonicAtomPattern, RatPoly,
+                              SingleNegativeAt, StrongPrefixPattern,
+                              UnitRepresentation, Witness, _exactlp, analyze,
+                              count_atoms, descartes_prune,
+                              integer_witness_search, isolate_positive_roots,
                               pattern_matches, pattern_max_variations,
-                              rational_feasibility)
-from semidomain_atoms._exactlp import feasible_point
-from semidomain_atoms.signsearch import _pattern_rows, _probe_degrees
+                              positive_root_count, rational_feasibility,
+                              signsearch)
+from semidomain_atoms._exactlp import feasible_point, projection_chain
+from semidomain_atoms.signsearch import (_NodeBudget, _integer_sweep,
+                                         _pattern_rows, _probe_degrees)
 
 from conftest import BINOMIAL, CUBE, GOLDEN, P, THREE_ROOTS, TWO_ROOTS
 
@@ -297,3 +302,210 @@ class TestConeRouteMatchesPerDegreeScan:
         kinds = {type(per_degree_reference(m, kind, Caps(max_witness_deg=d)))
                  for m, kind, d in seeded_scale_free_cases()}
         assert kinds == {Witness, InfeasibleProven}
+
+
+def per_degree_integer_reference(m, kind, caps):
+    """The integer-pinned route without the root box or the residue
+    relaxation: Descartes, then per probed degree one projection chain
+    and the sweep over it."""
+    pruned = descartes_prune(m, kind)
+    if pruned is not None:
+        return pruned
+    budget = _NodeBudget(caps.max_nodes)
+    degrees = _probe_degrees(m, kind, caps)
+    all_complete = True
+    for prod_deg in degrees:
+        chain = projection_chain(_pattern_rows(m, kind, prod_deg),
+                                 prod_deg - m.degree + 1)
+        if chain is None:
+            continue
+        sol, complete = _integer_sweep(chain, caps, budget)
+        if sol is not None:
+            f = IntPoly(sol)
+            return Witness(f, f * m)
+        all_complete = all_complete and complete
+        if budget.left <= 0:
+            all_complete = False
+            break
+    if all_complete:
+        return InfeasibleProven(
+            "linear", "query",
+            note=f"no integer solution at product degrees {degrees!r}")
+    return ExhaustedCaps(note="integer sweep stopped by caps")
+
+
+def root_in_unit_interval(m):
+    """Whether m, with m(1) != 0, has a root strictly between 0 and 1,
+    by refining the isolating intervals of its positive roots past 1."""
+    for r in isolate_positive_roots(m):
+        while r.lo < 1 <= r.hi:
+            r = r.refined(r.width / 2)
+        if r.hi < 1:
+            return True
+    return False
+
+
+def seeded_monic(seed, count, degrees, below_one):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        cs = [rng.randint(-4, 4) for _ in range(rng.choice(degrees))] + [1]
+        m = IntPoly(cs)
+        if cs[0] and m(1) and root_in_unit_interval(m) == below_one:
+            out.append((m, rng.randint(m.degree, 10 if below_one else 8)))
+    return out
+
+
+class CallCounter:
+    """Wraps a function and records the arguments of every call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, *args):
+        self.calls.append(args)
+        return self.fn(*args)
+
+
+@pytest.fixture
+def cone_calls(monkeypatch):
+    counter = CallCounter(signsearch.cone_membership)
+    monkeypatch.setattr(signsearch, "cone_membership", counter)
+    return counter.calls
+
+
+@pytest.fixture
+def chain_calls(monkeypatch):
+    counter = CallCounter(_exactlp.projection_chain)
+    monkeypatch.setattr(_exactlp, "projection_chain", counter)
+    monkeypatch.setattr(signsearch, "projection_chain", counter)
+    return counter.calls
+
+
+class TestRootBox:
+    @pytest.mark.parametrize("m,n", seeded_monic(31, 40, (2, 3, 4), True))
+    def test_agrees_with_sweep(self, m, n):
+        caps = Caps(max_nodes=2000)
+        kind = MonicAtomPattern(n)
+        assert not isinstance(per_degree_integer_reference(m, kind, caps),
+                              Witness)
+        got = integer_witness_search(m, kind, caps)
+        assert isinstance(got, InfeasibleProven)
+        assert got.scope == "all-degrees"
+        # Two positive roots are refuted by Descartes first.
+        assert got.reason == ("descartes" if positive_root_count(m) >= 2
+                              else "root-box")
+
+    def test_root_box_reason(self, chain_calls):
+        # x^2 + x - 1: the golden ratio's reciprocal lies in (0, 1).
+        res = integer_witness_search(P(-1, 1, 1), MonicAtomPattern(7))
+        assert res == InfeasibleProven("root-box", "all-degrees")
+        assert chain_calls == []
+
+    def test_root_above_one_only(self):
+        res = integer_witness_search(CUBE, MonicAtomPattern(3))
+        assert res.reason == "linear"
+
+    def test_rational_question_unaffected(self):
+        res = rational_feasibility(P(-1, 1, 1), MonicAtomPattern(3))
+        assert not (isinstance(res, InfeasibleProven)
+                    and res.reason == "root-box")
+
+    def test_count_atoms_stops_at_first_proof(self, chain_calls):
+        # x^4 + 3x^3 + 4x^2 - x - 2 is atomic (|m(0)| = 2) with a root
+        # in (0, 1): no power decomposes, and no degree is eliminated.
+        spec = AlgebraicNumberSpec.from_polynomial(P(-2, -1, 4, 3, 1))
+        count, _ = count_atoms(spec)
+        assert count == AtLeast(Caps().max_witness_deg + 1)
+        assert chain_calls == []
+
+
+class TestMonicResidueCone:
+    @pytest.mark.parametrize("m,n", seeded_monic(37, 40, (2, 3), False)
+                             + [(CUBE, n) for n in range(5, 9)])
+    def test_same_result(self, m, n):
+        caps = Caps(max_nodes=500)
+        kind = MonicAtomPattern(n)
+        assert repr(integer_witness_search(m, kind, caps)) == repr(
+            per_degree_integer_reference(m, kind, caps))
+
+    def test_cone_cases_cover_every_answer(self):
+        kinds = {type(per_degree_integer_reference(
+                    m, MonicAtomPattern(n), Caps(max_nodes=500)))
+                 for m, n in seeded_monic(37, 40, (2, 3), False)
+                 if n >= 2 * m.degree}
+        assert kinds == {Witness, InfeasibleProven, ExhaustedCaps}
+
+    def test_asked_only_above_twice_the_degree(self, cone_calls):
+        for n in range(3, 9):
+            integer_witness_search(CUBE, MonicAtomPattern(n))
+        # deg m = 3 rows against n - 2 unknowns: n = 6, 7, 8.
+        assert [len(gens) for gens, _ in cone_calls] == [6, 7, 8]
+
+    def test_flagship_never_asks(self, cone_calls):
+        res = analyze(AlgebraicNumberSpec.from_polynomial(CUBE))
+        assert res.pair == (Finite(4), Finite(5))
+        assert cone_calls == []
+
+    def test_refutes_without_elimination(self, chain_calls):
+        # x^2 + 3x - 5: the conjugate -4.19... outweighs the root
+        # 1.19..., and r_n is outside the cone of r_0..r_(n-1).
+        m = P(-5, 3, 1)
+        for n in range(4, 11):
+            res = integer_witness_search(m, MonicAtomPattern(n))
+            assert res == InfeasibleProven(
+                "linear", "query",
+                note=f"no integer solution at product degrees {[n]!r}")
+        assert chain_calls == []
+
+
+def seeded_unit_only_cases():
+    rng = random.Random(41)
+    # Degree caps stay at 8 or below: the reference's elimination on a
+    # quadratic's 8 unknowns takes 6 s at cap 9 (3x^2 - x - 1).
+    cases = [(P(-1, 3, 2, -3, 1), 6), (P(-1, -1, 1), 4), (P(-1, 2), 3),
+             (P(-1, 1), 8), (P(-1, -1, 3), 8)]
+    while len(cases) < 50:
+        d = rng.randint(2, 4)
+        cs = [rng.randint(-4, 4) for _ in range(d + 1)]
+        if cs[0] and cs[-1]:
+            cases.append((IntPoly(cs), rng.randint(1, 8)))
+    return cases
+
+
+class TestUnitOnlyRelaxation:
+    @pytest.mark.parametrize("m,cap", seeded_unit_only_cases())
+    def test_same_result(self, m, cap):
+        caps = Caps(max_witness_deg=cap, max_nodes=500)
+        kind = UnitRepresentation(cap, unit_only=True)
+        assert repr(integer_witness_search(m, kind, caps)) == repr(
+            per_degree_integer_reference(m, kind, caps))
+
+    def test_cases_cover_every_answer(self):
+        kinds = {type(per_degree_integer_reference(
+                    m, UnitRepresentation(cap, unit_only=True),
+                    Caps(max_witness_deg=cap, max_nodes=500)))
+                 for m, cap in seeded_unit_only_cases()}
+        assert kinds == {Witness, InfeasibleProven, ExhaustedCaps}
+
+    def test_refuted_quadratic_reaches_the_table(self, chain_calls):
+        res = analyze(AlgebraicNumberSpec.from_polynomial(P(-1, -1, 3)))
+        assert res.pair == (Finite(2), Infinite("non-monic"))
+        assert chain_calls == []
+
+
+class TestScaleFreeLowestDegreeFirst:
+    def test_small_feasible_probe_asks_once(self, cone_calls):
+        res = rational_feasibility(TWO_ROOTS, SingleNegativeAt(1, 24))
+        assert res == Witness(P(1), TWO_ROOTS)
+        # One question at degree 2: r_1 against r_0 and r_2.
+        assert [len(gens) for gens, _ in cone_calls] == [2]
+
+    def test_infeasible_low_degree_then_top(self, cone_calls):
+        m = P(-1, 0, -3, 2)
+        res = rational_feasibility(m, SingleNegativeAt(0, 10),
+                                   Caps(max_witness_deg=10))
+        assert res == per_degree_reference(m, SingleNegativeAt(0, 10),
+                                           Caps(max_witness_deg=10))
+        assert [len(gens) for gens, _ in cone_calls][:2] == [3, 10]
