@@ -1,5 +1,5 @@
-"""Exact rational linear feasibility, variable-range and cone-membership
-queries.
+"""Exact rational linear feasibility, variable-range, cone-membership and
+lexicographic-minimum queries.
 
 Constraint rows are pairs ``(a, b)`` over ``Fraction`` meaning
 ``a . x <= b`` with all variables unrestricted in sign.  Equalities are
@@ -21,6 +21,17 @@ combination of generators: a dense phase-1 simplex with Bland's rule
 and one equality row per coordinate.  Its answer is either the
 combination or a Farkas vector separating the target from the cone,
 and either one is re-checked exactly before it is returned.
+
+``lexicographic_point`` runs the same phase 1 on the same tableau and
+then one phase-2 pass per affine form of the weights, each restricted
+to the optimal face of the passes before it (preemptive, or
+lexicographic, linear optimisation; Isermann, "Linear lexicographic
+optimization", OR Spektrum 1982).  With the forms taken as the
+coordinates of some other description of the region, its point is the
+one ``feasible_point`` walks to there: each coordinate in turn at the
+lower end of its range, else the upper end, else 0.  The tableau keeps
+one row per coordinate of the target, plus one for each form held at
+0 because it is unbounded both ways.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ __all__ = [
     "feasible_point",
     "variable_range",
     "cone_membership",
+    "lexicographic_point",
 ]
 
 # Elimination serves every system size.  Only perfbench/spans.py reads
@@ -196,21 +208,64 @@ def variable_range(rows: Sequence[Row], n: int, j: int
     return None if chain is None else coordinate_range(chain, ())
 
 
-def _phase_one(gens: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-               ) -> tuple[bool, tuple[Fraction, ...]]:
-    """Phase-1 simplex for ``sum_j w_j gens[j] = target``, ``w >= 0``.
+def _pivot(tab: list[list[Fraction]], z: list[Fraction], basis: list[int],
+           row: int, col: int) -> None:
+    """Make ``col`` basic in ``row``, updating every row and the costs z."""
+    piv = tab[row]
+    inv = 1 / piv[col]
+    piv[:] = [v * inv for v in piv]
+    for other in tab:
+        f = other[col]
+        if other is not piv and f:
+            other[:] = [v - f * p for v, p in zip(other, piv)]
+    f = z[col]
+    if f:
+        z[:] = [v - f * p for v, p in zip(z, piv)]
+    basis[row] = col
+
+
+def _simplex(tab: list[list[Fraction]], z: list[Fraction], basis: list[int],
+             cols: Sequence[int], until_zero: bool = False) -> Optional[int]:
+    """Bland's-rule simplex minimizing the cost row z over ``cols``.
+
+    z holds the reduced costs of the tableau's columns and, in its last
+    slot, minus the objective value.  Only the columns in ``cols`` (in
+    ascending order) may enter: the lowest-index one with a negative
+    reduced cost, leaving by the lowest ratio, ties to the lowest-index
+    basic variable, which rules out cycling.  Returns None at an
+    optimum (or, with ``until_zero``, once the objective reaches 0),
+    else the entering column along which the objective is unbounded
+    below.
+    """
+    while not (until_zero and not z[-1]):
+        col = next((j for j in cols if z[j] < 0), None)
+        if col is None:
+            return None
+        best = None
+        for i, r in enumerate(tab):
+            a = r[col]
+            if a > 0:
+                key = (r[-1] / a, basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            return col
+        _pivot(tab, z, basis, best[1], col)
+    return None
+
+
+def _feasible_tableau(gens: Sequence[Sequence[Fraction]],
+                      target: Sequence[Fraction]):
+    """Phase 1 for ``sum_j w_j gens[j] = target``, ``w >= 0``.
 
     One artificial variable per row (rows flipped so the right-hand
-    side is nonnegative) starts the basis; Bland's rule (lowest-index
-    entering column, lowest-index basic variable among tied ratios)
-    rules out cycling.  At a positive optimum the simplex multipliers
-    pi satisfy pi.(column) <= 0 for every generator column and
-    pi.rhs > 0; undoing the row flips turns them into the Farkas
-    vector.
+    side is nonnegative) starts the basis, and the sum of the
+    artificials is minimized.  Returns the final tableau (generator
+    columns, artificial columns, rhs), its basis, the phase-1 cost row
+    and the row signs.
     """
     d, n = len(target), len(gens)
     signs = [-1 if t < 0 else 1 for t in target]
-    # Tableau rows: generator columns, artificial columns, rhs.
     tab = [[Fraction(signs[i] * g[i]) for g in gens]
            + [Fraction(int(i == r)) for r in range(d)]
            + [Fraction(signs[i] * target[i])]
@@ -220,40 +275,128 @@ def _phase_one(gens: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
     # its negated value in the last slot.
     z = [-sum(tab[i][j] for i in range(d)) for j in range(n)] \
         + [Fraction(0)] * d + [-sum(tab[i][-1] for i in range(d))]
-    while z[-1]:
-        col = next((j for j in range(n + d) if z[j] < 0), None)
-        if col is None:
-            break
-        best = None
-        for i in range(d):
-            a = tab[i][col]
-            if a > 0:
-                key = (tab[i][-1] / a, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
-            # Unbounded below is impossible for a sum of nonnegatives.
-            raise RuntimeError(
-                "phase-1 objective unbounded")  # pragma: no cover
-        row = best[1]
-        piv = tab[row]
-        inv = 1 / piv[col]
-        piv[:] = [v * inv for v in piv]
-        for other in tab:
-            f = other[col]
-            if other is not piv and f:
-                other[:] = [v - f * p for v, p in zip(other, piv)]
-        f = z[col]
-        z[:] = [v - f * p for v, p in zip(z, piv)]
-        basis[row] = col
+    if _simplex(tab, z, basis, range(n + d), until_zero=True) is not None:
+        # Unbounded below is impossible for a sum of nonnegatives.
+        raise RuntimeError("phase-1 objective unbounded")  # pragma: no cover
+    return tab, basis, z, signs
+
+
+def _basic_point(tab: list[list[Fraction]], basis: list[int], n: int
+                 ) -> tuple[Fraction, ...]:
+    """The generator weights of the basis: basic ones at their right-hand
+    side, the rest 0."""
+    w = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            w[b] = tab[i][-1]
+    return tuple(w)
+
+
+def _phase_one(gens: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
+               ) -> tuple[bool, tuple[Fraction, ...]]:
+    """Cone membership by phase 1: the weights, or the Farkas vector.
+
+    At a positive optimum the simplex multipliers pi satisfy
+    pi.(column) <= 0 for every generator column and pi.rhs > 0;
+    undoing the row flips turns them into the Farkas vector.
+    """
+    n = len(gens)
+    tab, basis, z, signs = _feasible_tableau(gens, target)
     if not z[-1]:
-        w = [Fraction(0)] * n
-        for i, b in enumerate(basis):
-            if b < n:
-                w[b] = tab[i][-1]
-        return True, tuple(w)
+        return True, _basic_point(tab, basis, n)
     # The reduced cost of artificial i is 1 - pi_i.
-    return False, tuple(signs[i] * (1 - z[n + i]) for i in range(d))
+    return False, tuple(signs[i] * (1 - z[n + i]) for i in range(len(signs)))
+
+
+def _costs(tab: list[list[Fraction]], basis: list[int],
+           coeffs: Sequence[Fraction], const: Fraction) -> list[Fraction]:
+    """Reduced-cost row of the objective ``coeffs . w + const``; the
+    columns past the generators (artificials) cost nothing."""
+    c = list(coeffs) + [Fraction(0)] * (len(tab[0]) - len(coeffs))
+    c[-1] = -const
+    z = c
+    for i, b in enumerate(basis):
+        cb = c[b] if b < len(coeffs) else 0
+        if cb:
+            z = [v - cb * t for v, t in zip(z, tab[i])]
+    return z
+
+
+def _drive_out(tab: list[list[Fraction]], basis: list[int], n: int,
+               cols: Sequence[int]) -> None:
+    """Pivot every artificial still basic (at level 0) out of the basis.
+
+    Any nonzero entry in an allowed column will do, since the row's
+    right-hand side is 0.  A row with none is redundant over the
+    allowed columns and no later pivot touches it.
+    """
+    for i, b in enumerate(basis):
+        if b >= n:
+            col = next((j for j in cols if tab[i][j]), None)
+            if col is not None:
+                _pivot(tab, [Fraction(0)] * len(tab[i]), basis, i, col)
+
+
+def _hold(tab: list[list[Fraction]], basis: list[int], n: int,
+          cols: Sequence[int], coeffs: Sequence[Fraction],
+          value: Fraction) -> None:
+    """Add the equality row ``coeffs . w = value`` and restore feasibility
+    over the allowed columns with one more artificial."""
+    for r in tab:
+        r.insert(-1, Fraction(0))
+    row = list(coeffs) + [Fraction(0)] * (len(tab[0]) - len(coeffs))
+    row[-1] = value
+    for i, b in enumerate(basis):
+        f = row[b]
+        if f:
+            row = [v - f * t for v, t in zip(row, tab[i])]
+    if row[-1] < 0:
+        row = [-v for v in row]
+    row[-2] = Fraction(1)
+    tab.append(row)
+    basis.append(len(row) - 2)
+    # Reduced costs of the new artificial alone; z[-1] is minus its value.
+    z = [-v for v in row]
+    z[-2] = Fraction(0)
+    _simplex(tab, z, basis, cols, until_zero=True)
+    _drive_out(tab, basis, n, cols)
+
+
+Form = tuple[Sequence[Fraction], Fraction]
+
+
+def _lexicographic(gens: Sequence[Sequence[Fraction]],
+                   target: Sequence[Fraction], forms: Sequence[Form]
+                   ) -> Optional[tuple[tuple[Fraction, ...],
+                                       tuple[Fraction, ...]]]:
+    """Phase 1, then one phase-2 pass per form on the same tableau.
+
+    Each pass minimizes its form over the optimal face of the passes
+    before it: only the columns whose reduced cost was zero at the end
+    of every earlier pass may enter, and the others stay at 0.  A form
+    unbounded below is maximized instead, and a form unbounded both
+    ways is held at 0 with an added equality row.
+    """
+    n = len(gens)
+    tab, basis, z, _ = _feasible_tableau(gens, target)
+    if z[-1]:
+        return None
+    cols = list(range(n))
+    _drive_out(tab, basis, n, cols)
+    values = []
+    for coeffs, const in forms:
+        z = _costs(tab, basis, coeffs, const)
+        if _simplex(tab, z, basis, cols) is None:
+            values.append(-z[-1])
+        else:
+            z = _costs(tab, basis, [-c for c in coeffs], -const)
+            if _simplex(tab, z, basis, cols) is not None:
+                _hold(tab, basis, n, cols, coeffs, -const)
+                values.append(Fraction(0))
+                continue
+            values.append(z[-1])
+        cols = [j for j in cols if not z[j]]
+    return _basic_point(tab, basis, n), tuple(values)
 
 
 def cone_membership(gens: Sequence[Sequence[Fraction]],
@@ -288,3 +431,43 @@ def cone_membership(gens: Sequence[Sequence[Fraction]],
                 "cone check failed: the Farkas vector does not separate "
                 "the target from the generators")
     return inside, vec
+
+
+def lexicographic_point(gens: Sequence[Sequence[Fraction]],
+                        target: Sequence[Fraction], forms: Sequence[Form]
+                        ) -> Optional[tuple[tuple[Fraction, ...],
+                                            tuple[Fraction, ...]]]:
+    """The lexicographic minimum of affine forms over a cone's fibre.
+
+    The region is ``{w >= 0 : sum_j w_j gens[j] == target}`` and each
+    form is ``(coeffs, const)``, the value ``coeffs . w + const``.  The
+    first form is minimized over the region, the second over the points
+    where the first takes its minimum, and so on; a form unbounded
+    below takes its maximum instead, or 0 when it has none, the same
+    rule ``feasible_point`` applies to each coordinate.  Returns
+    ``(w, values)``, a point of the final face and the form values
+    there, or None when the region is empty.  Weights, target and form
+    values are re-checked exactly; a failed check raises RuntimeError.
+    """
+    d = len(target)
+    if not d:
+        raise ValueError("the target needs at least one coordinate")
+    if any(len(g) != d for g in gens):
+        raise ValueError("generators and target differ in length")
+    if any(len(c) != len(gens) for c, _ in forms):
+        raise ValueError("a form's length differs from the generator count")
+    answer = _lexicographic(gens, target, forms)
+    if answer is None:
+        return None
+    w, values = answer
+    ok = (len(w) == len(gens) and len(values) == len(forms)
+          and all(v >= 0 for v in w)
+          and all(sum(v * g[i] for v, g in zip(w, gens)) == target[i]
+                  for i in range(d))
+          and all(sum(c * v for c, v in zip(coeffs, w)) + const == value
+                  for (coeffs, const), value in zip(forms, values)))
+    if not ok:
+        raise RuntimeError(
+            "lexicographic check failed: the point is not in the region or "
+            "misses a form value")
+    return w, values

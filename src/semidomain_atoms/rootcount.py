@@ -75,6 +75,11 @@ class SturmChain:
     def __setattr__(self, name, value):
         raise AttributeError("SturmChain is immutable")
 
+    def __reduce__(self):
+        # Copy and pickle through the constructor: the default route
+        # restores the slot with setattr, which immutability refuses.
+        return (type(self), (self.polys[0],))
+
     def variations_at(self, x: Fraction) -> int:
         return _variations(_signs(p(x) for p in self.polys))
 
@@ -163,6 +168,9 @@ class RootInterval:
 
     def __setattr__(self, name, value):
         raise AttributeError("RootInterval is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.lo, self.hi, self.polynomial, self._chain))
 
     def __repr__(self) -> str:
         return f"RootInterval(({self.lo}, {self.hi}], {self.polynomial})"

@@ -36,8 +36,8 @@ Decision pipeline per query, cheapest proof first:
 3. The rational relaxation in power-basis residue coordinates
    r_j = x^j mod m, where h is a multiple of m exactly when
    sum_j h_j r_j = 0: an exact cone-membership LP with deg m rows
-   (when each kind asks it is set out below; ``StrongPrefixPattern``
-   does not yet).
+   (when each kind asks it is set out below), and for the rational
+   kinds the witness from the same simplex.
 4. For what survives, Fourier-Motzkin elimination over the
    multiplier's coefficients and, for the kinds demanding genuinely
    integer coefficients, a depth-first sweep of integer points inside
@@ -52,8 +52,18 @@ exactly when r_k lies in the cone of the r_j with j <= D, j != k.  That
 cone grows with D: the lowest probed degree is asked first, then the
 top one, which proves infeasibility for every probed degree at once,
 and a bisection finds the lowest feasible degree.  The witness is the
-Fourier-Motzkin point of that degree's system in the multiplier's
-coefficients, the witness an ascending per-degree scan would report.
+lexicographically smallest multiplier of that degree: with
+h = f * m, each f_i is affine in the residue weights h_j, and
+``lexicographic_point`` minimizes f_0, f_1, ... in turn on the cone
+LP's own tableau.  That is the Fourier-Motzkin point of the degree's
+system in the multiplier's coefficients, the witness an ascending
+per-degree elimination scan would report, found without eliminating.
+
+``StrongPrefixPattern(s)`` is the system with k = D = s: r_s against
+the cone of r_0..r_(s-1).  When that LP's deg m rows are fewer than
+the s - deg m + 1 unknowns elimination would handle, the witness comes
+from ``lexicographic_point`` the same way; smaller probes stay with
+elimination, which is faster there.
 
 The integer-pinned kinds use the same residues to drop degrees before
 eliminating.  The unit-only kind's relaxation is plain
@@ -80,7 +90,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from ._exactlp import (Row, cone_membership, coordinate_range, feasible_point,
-                       projection_chain)
+                       lexicographic_point, projection_chain)
 from .polycore import IntPoly, RatPoly, content_primitive
 from .rootcount import SturmChain, positive_root_count, squarefree_part
 
@@ -420,14 +430,44 @@ def _lowest_cone_degree(m: IntPoly, k: int,
     return degrees[lo]
 
 
+def _lexicographic_multiplier(m: IntPoly, k: int, top: int
+                              ) -> Optional[tuple[Fraction, ...]]:
+    """The lexicographically smallest multiplier f_0..f_(top - deg m) of
+    a product of degree <= top with -1 at position k and nonnegative
+    coefficients elsewhere; None when there is none.
+
+    The product's coefficients are the weights of r_j, j <= top,
+    j != k, in a combination equal to r_k, and dividing by m from the
+    constant term makes each multiplier coefficient affine in them:
+    f_i = (h_i - sum_{l=1..min(i, deg m)} m_l f_(i-l)) / m_0.  Taking
+    the forms' lexicographic minimum is the walk ``feasible_point``
+    makes over the multiplier's coefficients, so the point is the same.
+    """
+    d, mc = m.degree, m.coeffs
+    res = _residues(m, top)
+    js = [j for j in range(top + 1) if j != k]
+    # fs[i][j]: the coefficient of h_j in f_i.
+    fs: list[list[Fraction]] = []
+    for i in range(top - d + 1):
+        f = [Fraction(int(j == i)) for j in range(top + 1)]
+        for lag in range(1, min(i, d) + 1):
+            if mc[lag]:
+                f = [a - mc[lag] * b for a, b in zip(f, fs[i - lag])]
+        fs.append([a / mc[0] for a in f])
+    forms = [(tuple(f[j] for j in js), -f[k]) for f in fs]
+    found = lexicographic_point([res[j] for j in js], res[k], forms)
+    return None if found is None else found[1]
+
+
 def _scale_free_feasibility(m: IntPoly, kind: PatternKind,
                             degrees: list[int]) -> WitnessResult:
     """The scale-free kinds as cone questions in residue coordinates.
 
     A product of degree <= D with -1 at position k and nonnegative
     coefficients elsewhere exists exactly when r_k lies in the cone of
-    r_j, j <= D, j != k.  At the lowest such D, ``feasible_point`` then
-    yields the same witness as an ascending per-degree scan would.
+    r_j, j <= D, j != k.  At the lowest such D, the lexicographically
+    smallest multiplier is the witness an ascending per-degree
+    elimination scan would report.
     """
     k = kind.power if isinstance(kind, SingleNegativeAt) else 0
     prod_deg = _lowest_cone_degree(m, k, degrees)
@@ -435,13 +475,9 @@ def _scale_free_feasibility(m: IntPoly, kind: PatternKind,
         return InfeasibleProven(
             "linear", "query",
             note=f"rationally infeasible at product degrees {degrees!r}")
-    point = feasible_point(_pattern_rows(m, kind, prod_deg),
-                           prod_deg - m.degree + 1)
-    if point is None:
-        raise RuntimeError(
-            f"engines disagree: the cone test finds {kind!r} feasible at "
-            f"product degree {prod_deg}, elimination does not")
-    return _canonical_integer_witness(kind, RatPoly(point), m)
+    # Feasible: the cone test at prod_deg asked the same phase 1.
+    f = _lexicographic_multiplier(m, k, prod_deg)
+    return _canonical_integer_witness(kind, RatPoly(f), m)
 
 
 def rational_feasibility(m: IntPoly, kind: PatternKind,
@@ -460,6 +496,17 @@ def rational_feasibility(m: IntPoly, kind: PatternKind,
     degrees = _probe_degrees(m, kind, caps)
     if _is_scale_free(kind):
         return _scale_free_feasibility(m, kind, degrees)
+    infeasible = InfeasibleProven(
+        "linear", "query",
+        note=f"rationally infeasible at product degrees {degrees!r}")
+    if (isinstance(kind, StrongPrefixPattern)
+            and kind.degree - m.degree + 1 > m.degree):
+        # r_s against r_0..r_(s-1): deg m rows, fewer than the
+        # s - deg m + 1 unknowns elimination would handle.
+        f = _lexicographic_multiplier(m, kind.degree, kind.degree)
+        if f is None:
+            return infeasible
+        return _canonical_integer_witness(kind, RatPoly(f), m)
     for prod_deg in degrees:
         t = prod_deg - m.degree
         rows = _pattern_rows(m, kind, prod_deg)
@@ -470,9 +517,7 @@ def rational_feasibility(m: IntPoly, kind: PatternKind,
         if isinstance(kind, StrongPrefixPattern):
             return _canonical_integer_witness(kind, f, m)
         return _checked_witness(kind, f, f * m.to_rat())
-    return InfeasibleProven(
-        "linear", "query",
-        note=f"rationally infeasible at product degrees {degrees!r}")
+    return infeasible
 
 
 class _NodeBudget:

@@ -7,8 +7,8 @@ import pytest
 
 from semidomain_atoms import _exactlp
 from semidomain_atoms._exactlp import (cone_membership, coordinate_range,
-                                       feasible_point, projection_chain,
-                                       variable_range)
+                                       feasible_point, lexicographic_point,
+                                       projection_chain, variable_range)
 
 F = Fraction
 
@@ -315,3 +315,139 @@ class TestConeMembership:
         gens = [(F(1), F(0)), (F(0), F(1))]
         with pytest.raises(RuntimeError, match="cone check failed"):
             cone_membership(gens, (F(0), F(2)))
+
+
+def form_rows(gens, target, forms):
+    """The region of ``lexicographic_point`` as rows over (form values,
+    free weights), for ``feasible_point``.
+
+    The equalities v_q = c_q . w + k_q and sum_j w_j gens[j] = target
+    are solved for as many weights as they determine (Gauss-Jordan,
+    last weight first); substituting them projects exactly, so the
+    walk over the form values is the one over the full system, and
+    elimination only sees the weights left free.
+    """
+    n, p = len(gens), len(forms)
+    eqs = [[F(int(i == q)) for i in range(p)] + [-F(c) for c in coeffs]
+           + [F(const)] for q, (coeffs, const) in enumerate(forms)]
+    eqs += [[F(0)] * p + [F(g[i]) for g in gens] + [F(target[i])]
+            for i in range(len(target))]
+    pivot_row = {}
+    for col in range(p + n - 1, p - 1, -1):
+        r = len(pivot_row)
+        piv = next((i for i in range(r, len(eqs)) if eqs[i][col]), None)
+        if piv is None:
+            continue
+        eqs[r], eqs[piv] = eqs[piv], eqs[r]
+        eqs[r] = [v / eqs[r][col] for v in eqs[r]]
+        for i in range(len(eqs)):
+            if i != r and eqs[i][col]:
+                f = eqs[i][col]
+                eqs[i] = [a - f * b for a, b in zip(eqs[i], eqs[r])]
+        pivot_row[col] = r
+    keep = [j for j in range(p + n) if j not in pivot_row]
+    rows = []
+    for e in eqs[len(pivot_row):]:  # left over: equalities among the v's
+        a = tuple(e[j] for j in keep)
+        rows += [(a, e[-1]), (tuple(-x for x in a), -e[-1])]
+    for j in range(p, p + n):
+        if j in pivot_row:  # w_j = rhs - e . rest >= 0
+            e = eqs[pivot_row[j]]
+            rows.append((tuple(e[k] for k in keep), e[-1]))
+        else:
+            rows.append((tuple(F(-int(k == j)) for k in keep), F(0)))
+    return rows, len(keep)
+
+
+def check_lexicographic_answer(gens, target, forms, answer):
+    w, values = answer
+    assert len(w) == len(gens) and all(v >= 0 for v in w)
+    assert all(sum(v * g[i] for v, g in zip(w, gens)) == target[i]
+               for i in range(len(target)))
+    assert values == tuple(sum(c * v for c, v in zip(coeffs, w)) + const
+                           for coeffs, const in forms)
+
+
+class TestLexicographicPoint:
+    def test_random_against_elimination(self):
+        rng = random.Random(1982)
+        empty = unbounded = held = 0
+        for trial in range(300):
+            d = rng.randint(1, 3)
+            gens = [tuple(F(rng.randint(-3, 3)) for _ in range(d))
+                    for _ in range(rng.randint(0, 6))]
+            target = tuple(F(rng.randint(-3, 3)) for _ in range(d))
+            forms = [(tuple(F(rng.randint(-2, 2)) for _ in gens),
+                      F(rng.randint(-2, 2)))
+                     for _ in range(rng.randint(1, 3))]
+            rows, n = form_rows(gens, target, forms)
+            ref = feasible_point(rows, n)
+            got = lexicographic_point(gens, target, forms)
+            if ref is None:
+                assert got is None, (gens, target, forms)
+                empty += 1
+                continue
+            assert got is not None, (gens, target, forms)
+            assert got[1] == ref[:len(forms)], (gens, target, forms)
+            check_lexicographic_answer(gens, target, forms, got)
+            chain = projection_chain(rows, n)
+            for q in range(len(forms)):
+                lo, hi = coordinate_range(chain, ref[:q])
+                unbounded += lo is None
+                held += lo is None and hi is None
+        assert 60 <= empty <= 240
+        assert unbounded >= 30 and held >= 10
+
+    def test_infeasible(self):
+        gens = [(F(1), F(1)), (F(1), F(2))]
+        assert lexicographic_point(gens, (F(-1), F(0)), []) is None
+
+    def test_degenerate_pivot(self):
+        # As in TestConeMembership: the first pivot has a zero ratio.
+        # The third generator makes the region a segment, and the
+        # forms pick its end with w_2 = 0.
+        gens = [(F(1), F(1)), (F(-1), F(1)), (F(0), F(1))]
+        forms = [((F(0), F(0), F(1)), F(0)), ((F(1), F(0), F(0)), F(0))]
+        assert lexicographic_point(gens, (F(0), F(1)), forms) == (
+            (F(1, 2), F(1, 2), F(0)), (F(0), F(1, 2)))
+
+    def test_unbounded_below_takes_upper_end(self):
+        # w_0 - w_1 = 1: -w_0 has no minimum, its maximum is -1.
+        gens = [(F(1),), (F(-1),)]
+        forms = [((F(-1), F(0)), F(3))]
+        assert lexicographic_point(gens, (F(1),), forms) == (
+            (F(1), F(0)), (F(2),))
+
+    def test_unbounded_both_ways_held_at_zero(self):
+        # w_0 - w_1 = 1 with w_2 free: w_0 - w_2 takes every value, so
+        # it is held at 0, and then w_2 >= 1 follows from w_0 >= 1.
+        gens = [(F(1),), (F(-1),), (F(0),)]
+        forms = [((F(1), F(0), F(-1)), F(0)), ((F(0), F(0), F(1)), F(0))]
+        assert lexicographic_point(gens, (F(1),), forms) == (
+            (F(1), F(0), F(1)), (F(0), F(1)))
+
+    def test_no_forms(self):
+        gens = [(F(1), F(0)), (F(0), F(1))]
+        assert lexicographic_point(gens, (F(2), F(3)), []) == (
+            (F(2), F(3)), ())
+
+    def test_bad_lengths(self):
+        with pytest.raises(ValueError):
+            lexicographic_point([(F(1),)], (F(1), F(0)), [])
+        with pytest.raises(ValueError):
+            lexicographic_point([(F(1),)], (F(1),), [((F(1), F(1)), F(0))])
+        with pytest.raises(ValueError):
+            lexicographic_point([()], (), [])
+
+    @pytest.mark.parametrize("fake", [
+        ((F(-1), F(2)), (F(-1),)),  # a negative weight
+        ((F(1), F(1)), (F(1),)),  # weights that miss the target
+        ((F(0), F(2)), (F(1),)),  # a form value the weights do not give
+        ((F(0), F(2)), ()),  # a form value missing
+    ], ids=["negative", "target", "value", "count"])
+    def test_recheck_failures_raise(self, monkeypatch, fake):
+        monkeypatch.setattr(_exactlp, "_lexicographic", lambda g, t, f: fake)
+        gens = [(F(1), F(0)), (F(0), F(1))]
+        with pytest.raises(RuntimeError, match="lexicographic check failed"):
+            lexicographic_point(gens, (F(0), F(2)),
+                                [((F(1), F(0)), F(0))])

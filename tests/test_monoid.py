@@ -497,6 +497,14 @@ class TestValueClasses:
                          copy.deepcopy(poly)):
                 assert back == poly and type(back) is type(poly)
 
+    @pytest.mark.parametrize("poly", [CUBE, P(-1, -1, 3)])
+    def test_specs_round_trip(self, poly):
+        spec = spec_of(poly)
+        for back in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert back == spec
+            assert back.root._chain.polys == spec.root._chain.polys
+            assert analyze(back) == analyze(spec)
+
     @pytest.mark.parametrize("poly", PICKLE_CASES)
     def test_no_instance_dict(self, poly):
         spec = spec_of(poly)

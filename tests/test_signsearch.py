@@ -4,15 +4,16 @@ from fractions import Fraction as F
 import pytest
 
 from semidomain_atoms import (AlgebraicNumberSpec, AtLeast, Caps,
-                              ExhaustedCaps, Finite, InfeasibleProven,
-                              Infinite, IntPoly, MonicAtomPattern, RatPoly,
+                              ExhaustedCaps, FamilyParams, Finite,
+                              InfeasibleProven, Infinite, IntPoly,
+                              MonicAtomPattern, MultiplierWitness, RatPoly,
                               SingleNegativeAt, StrongPrefixPattern,
                               UnitRepresentation, Witness, _exactlp, analyze,
-                              count_atoms, descartes_prune,
+                              count_atoms, descartes_prune, family_polynomial,
                               integer_witness_search, isolate_positive_roots,
                               pattern_matches, pattern_max_variations,
                               positive_root_count, rational_feasibility,
-                              signsearch)
+                              signsearch, verify_certificate)
 from semidomain_atoms._exactlp import feasible_point, projection_chain
 from semidomain_atoms.signsearch import (_NodeBudget, _integer_sweep,
                                          _pattern_rows, _probe_degrees)
@@ -288,6 +289,36 @@ def seeded_scale_free_cases():
         kind = (UnitRepresentation(cap) if k == 0 and rng.random() < 0.5
                 else SingleNegativeAt(k, cap))
         cases.append((IntPoly(cs), kind, rng.randint(1, 10)))
+    return cases + wide_scale_free_cases()
+
+
+def wide_scale_free_cases():
+    """Caps up to 24, leads in [-4, 4], with and without a positive root.
+
+    A negative lead with no positive root can leave a multiplier
+    coefficient unbounded below, where the rule of taking the upper end
+    applies.
+
+    Only probes whose reference scan stops by 6 multiplier unknowns are
+    kept: eliminating at the higher degrees of a quartic can take
+    seconds, which is what the single simplex saves.
+    """
+    rng = random.Random(1982)
+    cases = []
+    while len(cases) < 60:
+        d = rng.randint(2, 4)
+        cs = [rng.randint(-4, 4) for _ in range(d + 1)]
+        k = rng.randint(0, 2)
+        cap = rng.randint(max(k, 1), 24)
+        if not cs[0] or not cs[-1]:
+            continue
+        kind = (UnitRepresentation(cap) if k == 0 and rng.random() < 0.5
+                else SingleNegativeAt(k, cap))
+        m = IntPoly(cs)
+        got = rational_feasibility(m, kind, Caps(max_witness_deg=cap))
+        last = got.product.degree if isinstance(got, Witness) else cap
+        if last - d + 1 <= 6:
+            cases.append((m, kind, cap))
     return cases
 
 
@@ -302,6 +333,16 @@ class TestConeRouteMatchesPerDegreeScan:
         kinds = {type(per_degree_reference(m, kind, Caps(max_witness_deg=d)))
                  for m, kind, d in seeded_scale_free_cases()}
         assert kinds == {Witness, InfeasibleProven}
+
+    def test_wide_cases_cover_every_shape(self):
+        cases = wide_scale_free_cases()
+        assert sum(cap > 10 and isinstance(
+            rational_feasibility(m, kind, Caps(max_witness_deg=cap)), Witness)
+            for m, kind, cap in cases) >= 10
+        assert sum(positive_root_count(m) == 0 for m, _, _ in cases) >= 10
+        assert sum(m.coeffs[0] < 0 for m, _, _ in cases) >= 10
+        assert sum(m.lead < 0 and positive_root_count(m) == 0
+                   for m, _, _ in cases) >= 5
 
 
 def per_degree_integer_reference(m, kind, caps):
@@ -372,6 +413,13 @@ class CallCounter:
 def cone_calls(monkeypatch):
     counter = CallCounter(signsearch.cone_membership)
     monkeypatch.setattr(signsearch, "cone_membership", counter)
+    return counter.calls
+
+
+@pytest.fixture
+def lex_calls(monkeypatch):
+    counter = CallCounter(signsearch.lexicographic_point)
+    monkeypatch.setattr(signsearch, "lexicographic_point", counter)
     return counter.calls
 
 
@@ -509,3 +557,83 @@ class TestScaleFreeLowestDegreeFirst:
         assert res == per_degree_reference(m, SingleNegativeAt(0, 10),
                                            Caps(max_witness_deg=10))
         assert [len(gens) for gens, _ in cone_calls][:2] == [3, 10]
+
+
+def strong_prefix_reference(m, kind):
+    """The elimination route for a strong-prefix probe: the walk over
+    the multiplier's coefficients at product degree s."""
+    s = kind.degree
+    point = feasible_point(_pattern_rows(m, kind, s), s - m.degree + 1)
+    if point is None:
+        return InfeasibleProven(
+            "linear", "query",
+            note=f"rationally infeasible at product degrees {[s]!r}")
+    _, f = (-RatPoly(point)).primitive_part()
+    return Witness(f, f * m)
+
+
+def seeded_strong_prefix_cases():
+    """s in [2d, 2d + 3], where the residue system is the smaller one.
+
+    Quartics stop at s = 2d: elimination on their 6 or more unknowns
+    can take seconds.
+    """
+    rng = random.Random(1607)
+    cases = []
+    while len(cases) < 60:
+        d = rng.randint(2, 4)
+        cs = [rng.randint(-4, 4) for _ in range(d)] + [rng.randint(1, 4)]
+        s = rng.randint(2 * d, 2 * d + 3)
+        if cs[0] and (d < 4 or s == 2 * d):
+            cases.append((IntPoly(cs), StrongPrefixPattern(s)))
+    return cases
+
+
+class TestLexicographicWitness:
+    @pytest.mark.parametrize("m,kind", seeded_strong_prefix_cases())
+    def test_strong_prefix_matches_elimination(self, m, kind):
+        assert repr(rational_feasibility(m, kind)) == repr(
+            strong_prefix_reference(m, kind))
+
+    def test_strong_prefix_cases_cover_both_answers(self):
+        kinds = {type(strong_prefix_reference(m, kind))
+                 for m, kind in seeded_strong_prefix_cases()}
+        assert kinds == {Witness, InfeasibleProven}
+
+    def test_single_negative_without_elimination(self, chain_calls):
+        res = rational_feasibility(TWO_ROOTS, SingleNegativeAt(1, 24))
+        assert res == Witness(P(1), TWO_ROOTS)
+        assert chain_calls == []
+
+    def test_large_strong_prefix_without_elimination(self, chain_calls):
+        # x^4 - 4x^3 + 4x^2 + x - 4 at s = 8: 4 rows against the 5
+        # unknowns elimination would handle.
+        m = P(-4, 1, 4, -4, 1)
+        res = rational_feasibility(m, StrongPrefixPattern(8))
+        assert chain_calls == []
+        assert repr(res) == repr(
+            strong_prefix_reference(m, StrongPrefixPattern(8)))
+
+    def test_small_strong_prefix_keeps_elimination(self, lex_calls):
+        # The flagship at s = 4: 2 unknowns against 3 rows.
+        res = rational_feasibility(CUBE, StrongPrefixPattern(4))
+        assert res == Witness(P(1, 2), P(-2, 0, 0, -15, 2))
+        assert lex_calls == []
+
+    def test_family_never_asks(self, lex_calls):
+        for k, c in ((1, 0), (1, 3), (2, 0), (2, 2), (3, 1)):
+            m, expected = family_polynomial(FamilyParams(k, c))
+            res = analyze(AlgebraicNumberSpec.from_polynomial(m),
+                          Caps(max_witness_deg=5 * k + c))
+            assert res.pair == expected.pair
+        assert lex_calls == []
+
+    def test_high_degree_witness(self):
+        # Elimination on this probe's 10 unknowns ran for minutes; the
+        # lowest feasible product degree is 13.
+        m = P(2, -4, -4, 2, 3)
+        kind = SingleNegativeAt(1, 24)
+        res = rational_feasibility(m, kind)
+        assert isinstance(res, Witness) and res.product.degree == 13
+        assert verify_certificate(MultiplierWitness(
+            "non-strong-power", res.multiplier, res.product, kind), m)

@@ -2,12 +2,14 @@
 
 import ast
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 from semidomain_atoms import (MonicAtomPattern, SingleNegativeAt,
-                              StrongPrefixPattern, integer_witness_search,
-                              rational_feasibility, signsearch)
+                              StrongPrefixPattern, _exactlp,
+                              integer_witness_search, rational_feasibility,
+                              signsearch)
 
 from conftest import CUBE, TWO_ROOTS
 
@@ -37,9 +39,13 @@ def test_rejected_witness_raises(monkeypatch, search):
         search()
 
 
-def test_cone_and_elimination_disagreement_raises(monkeypatch):
-    # The cone test finds x^2 - 3x + 1 itself; elimination is made to
-    # find nothing at that degree.
-    monkeypatch.setattr(signsearch, "feasible_point", lambda rows, n: None)
-    with pytest.raises(RuntimeError, match="engines disagree"):
+@pytest.mark.parametrize("fake", [
+    # x^2 - 3x + 1 over 3: r_1 = (r_0 + r_2) / 3, and the one
+    # multiplier coefficient is 1/3.
+    ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 3),)),
+    ((Fraction(1, 3), Fraction(1, 3)), (Fraction(1),)),
+], ids=["weights", "form-value"])
+def test_wrong_simplex_answer_raises(monkeypatch, fake):
+    monkeypatch.setattr(_exactlp, "_lexicographic", lambda g, t, f: fake)
+    with pytest.raises(RuntimeError, match="lexicographic check failed"):
         rational_feasibility(TWO_ROOTS, SingleNegativeAt(1, 6))
