@@ -16,6 +16,22 @@ extend a fixed x_0..x_{k-1} is a single read of entry k
 (``feasible_point``), and a depth-first integer sweep reads every
 node's range from the same chain without eliminating again.
 
+Elimination keeps Chernikov's rule (S. N. Chernikov, "The convolution
+of finite systems of linear inequalities", 1965; J.-L. Imbert,
+"Fourier's elimination: which to choose?", 1993).  Every row carries
+its history, the set of input rows it is a nonnegative combination of.
+After s variables are eliminated, a combination whose history has more
+than s + 1 members has multipliers that are not an extreme ray of the
+cone of input multipliers cancelling those s variables: it is a sum of
+combinations over smaller histories, which the rows kept imply.  So
+such a pair is skipped before its row is built, and every entry is
+still exactly the projection.  Pruning never touches the last entry,
+the input system itself, and the last coordinate of every point is read
+from it; so an over-pruned projection could only widen the ranges of
+earlier coordinates, the integer sweep could accept no point outside
+the input rows, and ``feasible_point`` would raise rather than return
+one.
+
 ``cone_membership`` asks whether a target vector is a nonnegative
 combination of generators: a dense phase-1 simplex with Bland's rule
 and one equality row per coordinate.  Its answer is either the
@@ -72,40 +88,56 @@ def _canon(a: Sequence[Fraction], b: Fraction) -> tuple[tuple[int, ...], int]:
 _INFEASIBLE = object()
 
 
-def _dedupe(rows: list[Row]) -> object:
-    """Drop duplicate and trivial rows; _INFEASIBLE on a false constant."""
-    seen = set()
+def _dedupe(rows: list[Row], hists: list[int]) -> object:
+    """Drop duplicate and trivial rows; _INFEASIBLE on a false constant.
+
+    ``hists[i]`` is row i's history: the input rows it combines, as a
+    bit mask.  Returns the kept rows and their histories; a row kept
+    for several equal ones takes the smallest of their histories.
+    """
+    at: dict[tuple, int] = {}
     out: list[Row] = []
-    for a, b in rows:
+    out_hists: list[int] = []
+    for (a, b), h in zip(rows, hists):
         if not any(a):
             if b < 0:
                 return _INFEASIBLE
             continue
         key = _canon(a, b)
-        if key in seen:
+        i = at.get(key)
+        if i is not None:
+            if h.bit_count() < out_hists[i].bit_count():
+                out_hists[i] = h
             continue
-        seen.add(key)
+        at[key] = len(out)
         out.append((tuple(a), b))
-    return out
+        out_hists.append(h)
+    return out, out_hists
 
 
-def _eliminate(rows: list[Row], k: int) -> object:
-    """Project away variable k; rows stay indexed over the same tuple width."""
+def _eliminate(rows: list[Row], hists: list[int], k: int, most: int
+               ) -> object:
+    """Project away variable k; rows stay indexed over the same tuple width.
+
+    A pair whose combined history has more than ``most`` members is
+    skipped before its row is built (Chernikov's rule).
+    """
     pos, neg, zero = [], [], []
-    for a, b in rows:
-        if a[k] > 0:
-            pos.append((a, b))
-        elif a[k] < 0:
-            neg.append((a, b))
-        else:
-            zero.append((a, b))
-    new = list(zero)
-    for au, bu in pos:
-        for al, bl in neg:
+    for row, h in zip(rows, hists):
+        c = row[0][k]
+        (pos if c > 0 else neg if c < 0 else zero).append((row, h))
+    new = [row for row, _ in zero]
+    new_hists = [h for _, h in zero]
+    for (au, bu), hu in pos:
+        for (al, bl), hl in neg:
+            h = hu | hl
+            if h.bit_count() > most:
+                continue
             cu, cl = -al[k], au[k]
             a = tuple(cu * au[j] + cl * al[j] for j in range(len(au)))
             new.append((a, cu * bu + cl * bl))
-    return _dedupe(new)
+            new_hists.append(h)
+    return _dedupe(new, new_hists)
 
 
 def _read_interval(rows: list[Row], j: int) -> Optional[Interval]:
@@ -138,18 +170,26 @@ def projection_chain(rows: Sequence[Row], n: int
     Entry k holds rows over the full tuple width whose coefficients
     beyond k are zero; entry n-1 is the deduplicated system itself.
     None when the system is infeasible.
+
+    Input row i starts with the history {i}, and a combined row takes
+    the union of its parents' histories.  Once s variables are
+    eliminated, a row whose history has more than s + 1 members is
+    never built (Chernikov's rule): its multipliers on the input rows
+    are not an extreme ray of the cone of multipliers that cancel the
+    eliminated variables, so the rows kept imply it, and every entry is
+    still exactly the projection.
     """
-    cur = _dedupe(list(rows))
+    cur = _dedupe(list(rows), [1 << i for i in range(len(rows))])
     chain: list[list[Row]] = []
     for k in range(n - 1, -1, -1):
         if cur is _INFEASIBLE:
             return None
-        chain.append(cur)
+        chain.append(cur[0])
         if k:
-            cur = _eliminate(cur, k)
+            cur = _eliminate(*cur, k, n - k + 1)
     # Contradictory bounds on x_0 never become a constant row, because
     # x_0 is the one variable never eliminated.
-    if cur is _INFEASIBLE or (n and _read_interval(cur, 0) is None):
+    if cur is _INFEASIBLE or (n and _read_interval(cur[0], 0) is None):
         return None
     chain.reverse()
     return chain

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from semidomain_atoms import _exactlp
+from semidomain_atoms import IntPoly, MonicAtomPattern, _exactlp
 from semidomain_atoms._exactlp import (cone_membership, coordinate_range,
                                        feasible_point, lexicographic_point,
                                        projection_chain, variable_range)
+from semidomain_atoms.signsearch import _pattern_rows
 
 F = Fraction
 
@@ -203,6 +204,141 @@ class TestProjectionChain:
                 feasible += 1
                 prefix.append(rng.randint(math.ceil(lo), math.floor(hi)))
         assert feasible >= 60
+
+
+def unpruned_chain(rows, n):
+    """Fourier-Motzkin projections keeping every combination: the
+    elimination without Chernikov's rule, kept as the reference."""
+
+    def dedupe(rows):
+        seen, out = set(), []
+        for a, b in rows:
+            if not any(a):
+                if b < 0:
+                    return None
+                continue
+            key = _exactlp._canon(a, b)
+            if key not in seen:
+                seen.add(key)
+                out.append((tuple(a), b))
+        return out
+
+    def eliminate(rows, k):
+        pos = [r for r in rows if r[0][k] > 0]
+        neg = [r for r in rows if r[0][k] < 0]
+        new = [r for r in rows if not r[0][k]]
+        for au, bu in pos:
+            for al, bl in neg:
+                cu, cl = -al[k], au[k]
+                new.append((tuple(cu * u + cl * v for u, v in zip(au, al)),
+                            cu * bu + cl * bl))
+        return dedupe(new)
+
+    cur = dedupe(rows)
+    chain = []
+    for k in range(n - 1, -1, -1):
+        if cur is None:
+            return None
+        chain.append(cur)
+        if k:
+            cur = eliminate(cur, k)
+    if cur is None or (n and _exactlp._read_interval(cur, 0) is None):
+        return None
+    return chain[::-1]
+
+
+def walk(chain, n):
+    """``feasible_point``'s walk down a chain."""
+    point = []
+    for _ in range(n):
+        lo, hi = coordinate_range(chain, point)
+        point.append(lo if lo is not None else hi if hi is not None else F(0))
+    return tuple(point)
+
+
+def redundant_system(rng, n):
+    """Random rows over n unknowns with the shapes elimination meets:
+    equality pairs, positive multiples of a row (equal rows reached by
+    different histories), zero rows and, often, a box.  At most 16
+    rows, so the unpruned reference stays quick."""
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        a = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+        b = F(rng.randint(-4, 4))
+        rows.append((a, b))
+        if rng.random() < 0.3:
+            rows.append((tuple(-x for x in a), -b))
+        if rng.random() < 0.3:
+            c = F(rng.choice((2, 3)), rng.choice((1, 2)))
+            rows.append((tuple(c * x for x in a), c * b))
+    if rng.random() < 0.2:
+        rows.append(((F(0),) * n, F(rng.randint(-1, 3))))
+    if rng.random() < 0.6:
+        for j in range(n):
+            for sign in (1, -1):
+                rows.append((tuple(F(sign * int(i == j)) for i in range(n)),
+                             F(rng.randint(0, 6))))
+    rng.shuffle(rows)
+    return rows[:16]
+
+
+class TestChernikovRule:
+    """The pruned projection chain against elimination keeping every
+    combination: the same sets, read at the same prefixes."""
+
+    def test_random_systems_against_unpruned(self):
+        rng = random.Random(1965)
+        feasible = pruned = extended = 0
+        for trial in range(400):
+            n = rng.randint(0, 5)
+            rows = redundant_system(rng, n)
+            ref = unpruned_chain(rows, n)
+            chain = projection_chain(rows, n)
+            assert (chain is None) == (ref is None), (rows, n)
+            if ref is None:
+                assert feasible_point(rows, n) is None
+                continue
+            feasible += 1
+            pruned += sum(map(len, chain)) < sum(map(len, ref))
+            assert len(chain) == n and chain[-1:] == ref[-1:]
+            for _ in range(20):
+                k = rng.randint(0, n - 1) if n else 0
+                prefix = [F(rng.randint(-8, 8), rng.choice((1, 1, 2, 3)))
+                          for _ in range(k)]
+                if k < n:
+                    got = coordinate_range(chain, prefix)
+                    assert got == coordinate_range(ref, prefix), \
+                        (rows, n, prefix)
+                    extended += got is not None
+            assert feasible_point(rows, n) == walk(ref, n), (rows, n)
+        assert 150 <= feasible <= 350
+        assert pruned >= 20 and extended >= 1000
+
+    def test_small_cases(self):
+        # n = 0: only constant rows; n = 1: nothing is eliminated.
+        assert projection_chain(rows_of((0,)), 0) == []
+        assert projection_chain(rows_of((-1,), (3,)), 0) is None
+        rows = rows_of((2, 4), (1, 2), (-1, 0), (0, 1))
+        assert projection_chain(rows, 1) == unpruned_chain(rows, 1) == [
+            rows_of((2, 4), (-1, 0))]
+        assert feasible_point(rows, 1) == (F(0),)
+
+    def test_equal_rows_keep_the_smaller_history(self):
+        # Rows 0 and 1 are one row reached by two histories: the first
+        # row stays, with the history of fewer members.
+        rows, hists = _exactlp._dedupe(
+            rows_of((0, 1, 2), (0, 2, 4), (1, 0, 0)), [0b1011, 0b11, 0b100])
+        assert rows == rows_of((0, 1, 2), (1, 0, 0))
+        assert hists == [0b11, 0b100]
+
+    def test_monic_atom_chain_stays_small(self):
+        # x^4 - 4x^3 + 2x^2 + x - 1 at n = 9: 11 rows over 6 unknowns.
+        # Keeping every combination, the first entry has 128835 rows.
+        m = IntPoly((-1, 1, 2, -4, 1))
+        rows = _pattern_rows(m, MonicAtomPattern(9), 9)
+        chain = projection_chain(rows, 6)
+        assert chain is not None and len(chain) == 6
+        assert max(len(entry) for entry in chain) <= 20
 
 
 def solve_exact(cols, target):

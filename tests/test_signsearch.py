@@ -508,6 +508,41 @@ class TestMonicResidueCone:
         assert chain_calls == []
 
 
+@pytest.fixture
+def chain_sizes(monkeypatch):
+    """The row count of the largest entry of every projection chain."""
+    sizes = []
+
+    def recorded(rows, n):
+        chain = _exactlp.projection_chain(rows, n)
+        if chain is not None:
+            sizes.append(max(map(len, chain), default=0))
+        return chain
+
+    monkeypatch.setattr(signsearch, "projection_chain", recorded)
+    return sizes
+
+
+class TestPrunedChainsDecide:
+    """Quartics whose integer-pinned probes need Chernikov's rule:
+    keeping every Fourier-Motzkin combination, each analysis runs for
+    more than 20 s (the monic-atom chain of x^4 - 4x^3 + 2x^2 + x - 1
+    at n = 9 has 128835 rows in its first entry)."""
+
+    @pytest.mark.parametrize("m,pair", [
+        (P(-1, 1, 2, -4, 1), (Finite(8), Finite(10))),
+        (P(-3, -3, 3, -2, 1), (Finite(10), Finite(10))),
+        (P(-1, 4, -3, -3, 4), (Finite(0), Finite(0))),
+    ])
+    def test_decided_with_small_chains(self, chain_sizes, m, pair):
+        spec = AlgebraicNumberSpec.from_polynomial(m)
+        res = analyze(spec)
+        assert res.pair == pair
+        assert all(verify_certificate(c, spec.minimal_polynomial)
+                   for c in res.certificates)
+        assert chain_sizes and max(chain_sizes) <= 40
+
+
 def seeded_unit_only_cases():
     rng = random.Random(41)
     # Degree caps stay at 8 or below: the reference's elimination on a
@@ -544,19 +579,28 @@ class TestUnitOnlyRelaxation:
 
 
 class TestScaleFreeLowestDegreeFirst:
-    def test_small_feasible_probe_asks_once(self, cone_calls):
+    def test_small_feasible_probe_asks_once(self, cone_calls, lex_calls):
         res = rational_feasibility(TWO_ROOTS, SingleNegativeAt(1, 24))
         assert res == Witness(P(1), TWO_ROOTS)
-        # One question at degree 2: r_1 against r_0 and r_2.
-        assert [len(gens) for gens, _ in cone_calls] == [2]
+        # x^2 - 3x + 1 is feasible at the lowest degree as well.
+        m = P(1, -3, 1)
+        assert repr(rational_feasibility(m, SingleNegativeAt(1, 24))) == \
+            repr(per_degree_reference(m, SingleNegativeAt(1, 24), Caps()))
+        # One question per probe at degree 2, r_1 against r_0 and r_2:
+        # the lexicographic LP, whose phase 1 is the cone test.
+        assert [len(gens) for gens, _, _ in lex_calls] == [2, 2]
+        assert cone_calls == []
 
-    def test_infeasible_low_degree_then_top(self, cone_calls):
+    def test_infeasible_low_degree_then_top(self, cone_calls, lex_calls):
         m = P(-1, 0, -3, 2)
         res = rational_feasibility(m, SingleNegativeAt(0, 10),
                                    Caps(max_witness_deg=10))
         assert res == per_degree_reference(m, SingleNegativeAt(0, 10),
                                            Caps(max_witness_deg=10))
-        assert [len(gens) for gens, _ in cone_calls][:2] == [3, 10]
+        # Degree 3 by the lexicographic LP (outside the cone), then the
+        # top degree by the cone LP.
+        assert len(lex_calls[0][0]) == 3
+        assert [len(gens) for gens, _ in cone_calls][:1] == [10]
 
 
 def strong_prefix_reference(m, kind):
