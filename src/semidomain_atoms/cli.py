@@ -494,9 +494,13 @@ def _cmd_irreducible(ctx: _Ctx) -> int:
     verdict = certify_irreducible(m, FactorSearchCaps())
     if isinstance(verdict, Irreducible):
         v: dict = {"kind": "irreducible", "method": verdict.method}
+        how = verdict.method
         if verdict.eisenstein_prime is not None:
             v["eisenstein_prime"] = verdict.eisenstein_prime
-        lines = [f"polynomial: {m}", f"irreducible ({verdict.method})"]
+        if verdict.primes:
+            v["primes"] = list(verdict.primes)
+            how += ", primes " + ", ".join(map(str, verdict.primes))
+        lines = [f"polynomial: {m}", f"irreducible ({how})"]
         code = 0
     elif isinstance(verdict, Reducible):
         v = {"kind": "reducible", "factor": _poly_json(verdict.factor)}

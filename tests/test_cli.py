@@ -348,6 +348,17 @@ class TestIrreducibleCommand:
         assert code == 0
         assert doc["verdict"]["method"] == "factor-search"
 
+    def test_octic_modulo_primes(self, capsys):
+        octic = "x^8 + x^6 + 3x^5 + x^4 + 2x^2 - 2x - 2"
+        code, doc = run_json(capsys, "irreducible", octic, "--json")
+        assert code == 0
+        assert doc["verdict"] == {"kind": "irreducible",
+                                  "method": "degree-sets",
+                                  "primes": [3, 5, 7]}
+        code, out, _ = run(capsys, "irreducible", octic)
+        assert code == 0
+        assert "irreducible (degree-sets, primes 3, 5, 7)" in out
+
 
 class TestTopLevel:
     def test_version(self, capsys):

@@ -8,10 +8,11 @@ import pytest
 
 from semidomain_atoms import (MonicAtomPattern, SingleNegativeAt,
                               StrongPrefixPattern, _exactlp,
-                              integer_witness_search, rational_feasibility,
+                              certify_irreducible, integer_witness_search,
+                              irreducibility, rational_feasibility,
                               signsearch)
 
-from conftest import CUBE, TWO_ROOTS
+from conftest import CUBE, P, TWO_ROOTS
 
 PACKAGE = pathlib.Path(signsearch.__file__).parent
 
@@ -49,3 +50,23 @@ def test_wrong_simplex_answer_raises(monkeypatch, fake):
     monkeypatch.setattr(_exactlp, "_lexicographic", lambda g, t, f: fake)
     with pytest.raises(RuntimeError, match="lexicographic check failed"):
         rational_feasibility(TWO_ROOTS, SingleNegativeAt(1, 6))
+
+
+# (x^4 + x + 1)(x^4 - x^3 + 2x - 1): a product with no rational root.
+OCTIC_PRODUCT = P(1, 1, 0, 0, 1) * P(-1, 2, 0, -1, 1)
+
+
+@pytest.mark.parametrize("patterns,method", [
+    ([[8]], "mod-p"),
+    ([[3, 5], [1, 7]], "degree-sets"),
+], ids=["mod-p", "degree-sets"])
+def test_wrong_factor_degrees_raise(monkeypatch, patterns, method):
+    calls = []
+
+    def fake(f, p):
+        calls.append(p)
+        return patterns[min(len(calls), len(patterns)) - 1]
+    monkeypatch.setattr(irreducibility, "_degree_pattern", fake)
+    with pytest.raises(RuntimeError, match="certify_irreducible"):
+        certify_irreducible(OCTIC_PRODUCT)
+    assert len(calls) == len(patterns)

@@ -100,6 +100,15 @@ class TestTransformScale:
                             factor_caps=FactorSearchCaps(max_candidates=1))
         assert exc.value.k == 2
 
+    def test_substituted_modulus_certified_modulo_primes(self):
+        # m(x^3) = x^9 - 2x^6 + x^3 - 3 is not Eisenstein, and its factor
+        # search needs far more than the one candidate allowed here.
+        m = P(-3, 1, -2, 1)
+        assert eisenstein_check(substitute_power(m, 3)) is None
+        res = transform_scale(spec_of(m), 3,
+                              factor_caps=FactorSearchCaps(max_candidates=1))
+        assert res.pair == (Finite(12), Finite(12))
+
     def test_errors_are_value_errors(self):
         assert issubclass(TransformReducibleError, ValueError)
         assert issubclass(TransformUncertifiedError, ValueError)
