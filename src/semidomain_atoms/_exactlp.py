@@ -1,4 +1,4 @@
-"""Exact rational linear feasibility, variable-range, cone-membership and
+"""Exact rational linear feasibility, variable-range and
 lexicographic-minimum queries.
 
 Constraint rows are pairs ``(a, b)`` over ``Fraction`` meaning
@@ -32,22 +32,22 @@ earlier coordinates, the integer sweep could accept no point outside
 the input rows, and ``feasible_point`` would raise rather than return
 one.
 
-``cone_membership`` asks whether a target vector is a nonnegative
-combination of generators: a dense phase-1 simplex with Bland's rule
-and one equality row per coordinate.  Its answer is either the
-combination or a Farkas vector separating the target from the cone,
-and either one is re-checked exactly before it is returned.
-
-``lexicographic_point`` runs the same phase 1 on the same tableau and
-then one phase-2 pass per affine form of the weights, each restricted
-to the optimal face of the passes before it (preemptive, or
-lexicographic, linear optimisation; Isermann, "Linear lexicographic
-optimization", OR Spektrum 1982).  With the forms taken as the
-coordinates of some other description of the region, its point is the
-one ``feasible_point`` walks to there: each coordinate in turn at the
-lower end of its range, else the upper end, else 0.  The tableau keeps
-one row per coordinate of the target, plus one for each form held at
-0 because it is unbounded both ways.
+``lexicographic_point`` is the one simplex: a dense phase 1 with
+Bland's rule and one equality row per coordinate of the target asks
+whether the target is a nonnegative combination of generators, and then
+one phase-2 pass per affine form of the weights runs on the same
+tableau, each restricted to the optimal face of the passes before it
+(preemptive, or lexicographic, linear optimisation; Isermann, "Linear
+lexicographic optimization", OR Spektrum 1982).  With no forms it is
+the cone-membership test.  With the forms taken as the coordinates of
+some other description of the region, its point is the one
+``feasible_point`` walks to there: each coordinate in turn at the lower
+end of its range, else the upper end, else 0.  The tableau keeps one
+row per coordinate of the target, plus one for each form held at 0
+because it is unbounded both ways.  Every answer is re-checked exactly
+before it is returned: a point against the region and the form values,
+an empty region against the Farkas vector phase 1 ends with, which must
+separate the target from every generator.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "coordinate_range",
     "feasible_point",
     "variable_range",
-    "cone_membership",
     "lexicographic_point",
 ]
 
@@ -332,22 +331,6 @@ def _basic_point(tab: list[list[Fraction]], basis: list[int], n: int
     return tuple(w)
 
 
-def _phase_one(gens: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-               ) -> tuple[bool, tuple[Fraction, ...]]:
-    """Cone membership by phase 1: the weights, or the Farkas vector.
-
-    At a positive optimum the simplex multipliers pi satisfy
-    pi.(column) <= 0 for every generator column and pi.rhs > 0;
-    undoing the row flips turns them into the Farkas vector.
-    """
-    n = len(gens)
-    tab, basis, z, signs = _feasible_tableau(gens, target)
-    if not z[-1]:
-        return True, _basic_point(tab, basis, n)
-    # The reduced cost of artificial i is 1 - pi_i.
-    return False, tuple(signs[i] * (1 - z[n + i]) for i in range(len(signs)))
-
-
 def _costs(tab: list[list[Fraction]], basis: list[int],
            coeffs: Sequence[Fraction], const: Fraction) -> list[Fraction]:
     """Reduced-cost row of the objective ``coeffs . w + const``; the
@@ -407,9 +390,13 @@ Form = tuple[Sequence[Fraction], Fraction]
 
 def _lexicographic(gens: Sequence[Sequence[Fraction]],
                    target: Sequence[Fraction], forms: Sequence[Form]
-                   ) -> Optional[tuple[tuple[Fraction, ...],
-                                       tuple[Fraction, ...]]]:
+                   ) -> tuple[bool, tuple]:
     """Phase 1, then one phase-2 pass per form on the same tableau.
+
+    Returns ``(True, (w, values))``, or ``(False, y)`` with the Farkas
+    vector y when phase 1 ends above 0: at that optimum the simplex
+    multipliers pi satisfy pi.(column) <= 0 for every generator column
+    and pi.rhs > 0, and undoing the row flips turns them into y.
 
     Each pass minimizes its form over the optimal face of the passes
     before it: only the columns whose reduced cost was zero at the end
@@ -418,9 +405,10 @@ def _lexicographic(gens: Sequence[Sequence[Fraction]],
     ways is held at 0 with an added equality row.
     """
     n = len(gens)
-    tab, basis, z, _ = _feasible_tableau(gens, target)
+    tab, basis, z, signs = _feasible_tableau(gens, target)
     if z[-1]:
-        return None
+        # The reduced cost of artificial i is 1 - pi_i.
+        return False, tuple(s * (1 - z[n + i]) for i, s in enumerate(signs))
     cols = list(range(n))
     _drive_out(tab, basis, n, cols)
     values = []
@@ -436,41 +424,7 @@ def _lexicographic(gens: Sequence[Sequence[Fraction]],
                 continue
             values.append(z[-1])
         cols = [j for j in cols if not z[j]]
-    return _basic_point(tab, basis, n), tuple(values)
-
-
-def cone_membership(gens: Sequence[Sequence[Fraction]],
-                    target: Sequence[Fraction]
-                    ) -> tuple[bool, tuple[Fraction, ...]]:
-    """Whether ``target`` lies in the cone spanned by ``gens``.
-
-    Returns ``(True, w)`` with ``w >= 0`` and ``sum_j w_j gens[j] ==
-    target``, or ``(False, y)`` with ``y . g <= 0`` for every generator
-    and ``y . target > 0``, a proof that no such combination exists.
-    Both answers are re-checked exactly; a failed check raises
-    RuntimeError.
-    """
-    d = len(target)
-    if any(len(g) != d for g in gens):
-        raise ValueError("generators and target differ in length")
-    inside, vec = _phase_one(gens, target)
-    if inside:
-        ok = (len(vec) == len(gens) and all(w >= 0 for w in vec)
-              and all(sum(w * g[i] for w, g in zip(vec, gens)) == target[i]
-                      for i in range(d)))
-        if not ok:
-            raise RuntimeError(
-                "cone check failed: the weights do not rebuild the target")
-    else:
-        def dot(v):
-            return sum(a * b for a, b in zip(vec, v))
-        ok = (len(vec) == d and dot(target) > 0
-              and all(dot(g) <= 0 for g in gens))
-        if not ok:
-            raise RuntimeError(
-                "cone check failed: the Farkas vector does not separate "
-                "the target from the generators")
-    return inside, vec
+    return True, (_basic_point(tab, basis, n), tuple(values))
 
 
 def lexicographic_point(gens: Sequence[Sequence[Fraction]],
@@ -486,8 +440,13 @@ def lexicographic_point(gens: Sequence[Sequence[Fraction]],
     below takes its maximum instead, or 0 when it has none, the same
     rule ``feasible_point`` applies to each coordinate.  Returns
     ``(w, values)``, a point of the final face and the form values
-    there, or None when the region is empty.  Weights, target and form
-    values are re-checked exactly; a failed check raises RuntimeError.
+    there, or None when the region is empty; with no forms this is the
+    test whether ``target`` lies in the cone spanned by ``gens``.
+
+    Both answers are re-checked exactly, and a failed check raises
+    RuntimeError: a point must lie in the region and give the form
+    values, and None needs a Farkas vector y with ``y . target > 0``
+    and ``y . g <= 0`` for every generator.
     """
     d = len(target)
     if not d:
@@ -496,8 +455,15 @@ def lexicographic_point(gens: Sequence[Sequence[Fraction]],
         raise ValueError("generators and target differ in length")
     if any(len(c) != len(gens) for c, _ in forms):
         raise ValueError("a form's length differs from the generator count")
-    answer = _lexicographic(gens, target, forms)
-    if answer is None:
+    feasible, answer = _lexicographic(gens, target, forms)
+    if not feasible:
+        def dot(v):
+            return sum(a * b for a, b in zip(answer, v))
+        if not (len(answer) == d and dot(target) > 0
+                and all(dot(g) <= 0 for g in gens)):
+            raise RuntimeError(
+                "lexicographic check failed: the Farkas vector does not "
+                "separate the target from the generators")
         return None
     w, values = answer
     ok = (len(w) == len(gens) and len(values) == len(forms)

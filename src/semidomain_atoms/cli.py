@@ -41,13 +41,12 @@ from typing import Optional, Sequence, Union
 
 from . import __version__
 from .irreducibility import (FactorSearchCaps, Irreducible, Reducible,
-                             Unknown, certify_irreducible)
+                             certify_irreducible)
 from .monoid import (AlgebraicNumberSpec, AtLeast, Count, Finite, Infinite,
                      PairResult, TransformScaling, UnsupportedInputError,
                      _degree2_poly, analyze, classify_degree2,
                      verify_certificate)
-from .oracle import (NonStrong, OracleCaps, StrongUpTo,
-                     enumerate_factorizations, strong_check_oracle)
+from .oracle import OracleCaps, StrongUpTo, strong_check_oracle
 from .polycore import IntPoly, RatPoly, substitute_power
 from .rootcount import isolate_positive_roots, positive_root_count
 from .signsearch import (Caps, MonicAtomPattern, SingleNegativeAt,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .polycore import IntPoly, divmod_rat
+from .polycore import IntPoly, reduce_mod
 from .rootcount import RootInterval, isolate_positive_roots
 
 __all__ = [
@@ -85,17 +85,11 @@ def _require_monic(m: IntPoly) -> None:
             "(power-basis coordinates are only integral then)")
 
 
-def _reduce_poly(p: IntPoly, m: IntPoly) -> tuple[int, ...]:
-    _, r = divmod_rat(p.to_rat(), m.to_rat())
-    ri = r.to_int()
-    cs = list(ri.coeffs) + [0] * (m.degree - len(ri.coeffs))
-    return tuple(cs)
-
-
 def reduce_element(p: IntPoly, m: IntPoly) -> MonoidElement:
     """Canonical coordinates of p's value in the power basis."""
     _require_monic(m)
-    return MonoidElement(_reduce_poly(p, m))
+    cs = reduce_mod(p, m).to_int().coeffs
+    return MonoidElement(cs + (0,) * (m.degree - len(cs)))
 
 
 class _Context:
@@ -115,7 +109,7 @@ class _Context:
         cur = IntPoly.one()
         for e in range(max_power + 1):
             if e in allowed:
-                coords[e] = _reduce_poly(cur, m)
+                coords[e] = reduce_element(cur, m).coords
             cur = cur.shifted(1)
         # Powers with equal coordinates are the same element; keep the
         # smallest exponent for each.

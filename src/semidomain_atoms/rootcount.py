@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .polycore import IntPoly, RatPoly, content_primitive, divmod_rat, gcd_rat
+from .polycore import IntPoly, RatPoly, divmod_rat, gcd_rat
 
 __all__ = [
     "sign_variations",

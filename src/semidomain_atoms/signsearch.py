@@ -37,7 +37,9 @@ Decision pipeline per query, cheapest proof first:
    r_j = x^j mod m, where h is a multiple of m exactly when
    sum_j h_j r_j = 0: an exact cone-membership LP with deg m rows
    (when each kind asks it is set out below), and for the rational
-   kinds the witness from the same simplex.
+   kinds the witness from the same simplex: ``lexicographic_point``,
+   with no forms for a bare cone test, which re-checks every answer,
+   an empty cone by its Farkas vector.
 4. For what survives, Fourier-Motzkin elimination over the
    multiplier's coefficients and, for the kinds demanding genuinely
    integer coefficients, a depth-first sweep of integer points inside
@@ -97,9 +99,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from ._exactlp import (Row, cone_membership, coordinate_range, feasible_point,
+from ._exactlp import (Row, coordinate_range, feasible_point,
                        lexicographic_point, projection_chain)
-from .polycore import IntPoly, RatPoly, content_primitive
+from .polycore import IntPoly, RatPoly
 from .rootcount import SturmChain, positive_root_count, squarefree_part
 
 __all__ = [
@@ -400,10 +402,10 @@ def _cone_reach(res: list[tuple[Fraction, ...]], k: int, top: int
     """Highest degree a combination of the r_j, j <= top, j != k, equal
     to r_k uses; None when r_k is outside their cone."""
     js = [j for j in range(top + 1) if j != k]
-    inside, w = cone_membership([res[j] for j in js], res[k])
-    if not inside:
+    found = lexicographic_point([res[j] for j in js], res[k], ())
+    if found is None:
         return None
-    return max((j for j, wj in zip(js, w) if wj), default=0)
+    return max((j for j, wj in zip(js, found[0]) if wj), default=0)
 
 
 def _lowest_cone_degree(m: IntPoly, k: int,
@@ -636,9 +638,7 @@ def _relaxed_degrees(m: IntPoly, kind: PatternKind,
     n, d = kind.power, m.degree
     if not degrees or n - d + 1 <= d:
         return degrees
-    res = _residues(m, n)
-    inside, _ = cone_membership(res[:n], res[n])
-    return degrees if inside else []
+    return degrees if _cone_reach(_residues(m, n), n, n) is not None else []
 
 
 def integer_witness_search(m: IntPoly, kind: PatternKind,

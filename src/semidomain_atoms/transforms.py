@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .irreducibility import (FactorSearchCaps, Irreducible, Reducible,
-                             Unknown, certify_irreducible)
+from .irreducibility import (FactorSearchCaps, Reducible, Unknown,
+                             certify_irreducible)
 from .monoid import (AlgebraicNumberSpec, AtLeast, Count, EisensteinPrime,
-                     Finite, Infinite, PairResult, TransformScaling, analyze,
+                     Finite, PairResult, TransformScaling, analyze,
                      counts_equal, is_decided)
 from .polycore import IntPoly, substitute_power
 from .rootcount import isolate_positive_roots

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from semidomain_atoms import IntPoly, MonicAtomPattern, _exactlp
-from semidomain_atoms._exactlp import (cone_membership, coordinate_range,
-                                       feasible_point, lexicographic_point,
-                                       projection_chain, variable_range)
+from semidomain_atoms._exactlp import (coordinate_range, feasible_point,
+                                       lexicographic_point, projection_chain,
+                                       variable_range)
 from semidomain_atoms.signsearch import _pattern_rows
 
 F = Fraction
@@ -380,6 +380,19 @@ def caratheodory_in_cone(gens, target):
     return False
 
 
+def cone_answer(gens, target):
+    """The cone test, ``lexicographic_point`` with no forms, and the
+    simplex answer behind it: ``(True, w)`` with the weights, or
+    ``(False, y)`` with the Farkas vector the None was checked by."""
+    got = lexicographic_point(gens, target, ())
+    feasible, answer = _exactlp._lexicographic(gens, target, ())
+    assert feasible == (got is not None)
+    if feasible:
+        assert answer == got and got[1] == ()
+        return True, got[0]
+    return False, answer
+
+
 def check_cone_answer(gens, target, answer):
     inside, vec = answer
     if inside:
@@ -393,6 +406,8 @@ def check_cone_answer(gens, target, answer):
 
 
 class TestConeMembership:
+    """``lexicographic_point`` with no forms is the cone test."""
+
     def test_random_against_caratheodory(self):
         rng = random.Random(515)
         inside = 0
@@ -401,7 +416,7 @@ class TestConeMembership:
             gens = [tuple(F(rng.randint(-3, 3)) for _ in range(d))
                     for _ in range(rng.randint(0, 6))]
             target = tuple(F(rng.randint(-3, 3)) for _ in range(d))
-            answer = cone_membership(gens, target)
+            answer = cone_answer(gens, target)
             assert answer[0] == caratheodory_in_cone(gens, target), \
                 (gens, target)
             check_cone_answer(gens, target, answer)
@@ -410,22 +425,23 @@ class TestConeMembership:
 
     def test_zero_target(self):
         gens = [(F(1), F(-2)), (F(-3), F(1))]
-        assert cone_membership(gens, (F(0), F(0))) == (True, (F(0), F(0)))
+        assert lexicographic_point(gens, (F(0), F(0)), ()) == (
+            (F(0), F(0)), ())
 
     def test_empty_generators(self):
-        assert cone_membership([], (F(0), F(0))) == (True, ())
+        assert lexicographic_point([], (F(0), F(0)), ()) == ((), ())
         target = (F(-2), F(3))
-        answer = cone_membership([], target)
+        answer = cone_answer([], target)
         assert answer[0] is False
         check_cone_answer([], target, answer)
 
     def test_parallel_generators(self):
         gens = [(F(1), F(2)), (F(2), F(4)), (F(3), F(6))]
-        answer = cone_membership(gens, (F(5), F(10)))
+        answer = cone_answer(gens, (F(5), F(10)))
         assert answer[0] is True
         check_cone_answer(gens, (F(5), F(10)), answer)
         for target in ((F(-1), F(-2)), (F(1), F(0))):
-            answer = cone_membership(gens, target)
+            answer = cone_answer(gens, target)
             assert answer[0] is False
             check_cone_answer(gens, target, answer)
 
@@ -433,24 +449,24 @@ class TestConeMembership:
         # The first entering column has a zero ratio in row 0, so the
         # first pivot leaves the objective unchanged.
         gens = [(F(1), F(1)), (F(-1), F(1))]
-        assert cone_membership(gens, (F(0), F(1))) == (True,
-                                                       (F(1, 2), F(1, 2)))
+        assert lexicographic_point(gens, (F(0), F(1)), ()) == (
+            (F(1, 2), F(1, 2)), ())
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            cone_membership([(F(1),)], (F(1), F(0)))
+            lexicographic_point([(F(1),)], (F(1), F(0)), ())
 
     @pytest.mark.parametrize("fake", [
-        (True, (F(-1), F(2))),  # a negative weight
-        (True, (F(1), F(1))),  # weights that miss the target
+        (True, ((F(-1), F(2)), ())),  # a negative weight
+        (True, ((F(1), F(1)), ())),  # weights that miss the target
         (False, (F(1), F(0))),  # y . target is not positive
         (False, (F(0), F(1))),  # y . g > 0 for a generator
     ])
     def test_recheck_failures_raise(self, monkeypatch, fake):
-        monkeypatch.setattr(_exactlp, "_phase_one", lambda g, t: fake)
+        monkeypatch.setattr(_exactlp, "_lexicographic", lambda g, t, f: fake)
         gens = [(F(1), F(0)), (F(0), F(1))]
-        with pytest.raises(RuntimeError, match="cone check failed"):
-            cone_membership(gens, (F(0), F(2)))
+        with pytest.raises(RuntimeError, match="lexicographic check failed"):
+            lexicographic_point(gens, (F(0), F(2)), ())
 
 
 def form_rows(gens, target, forms):
@@ -576,10 +592,10 @@ class TestLexicographicPoint:
             lexicographic_point([()], (), [])
 
     @pytest.mark.parametrize("fake", [
-        ((F(-1), F(2)), (F(-1),)),  # a negative weight
-        ((F(1), F(1)), (F(1),)),  # weights that miss the target
-        ((F(0), F(2)), (F(1),)),  # a form value the weights do not give
-        ((F(0), F(2)), ()),  # a form value missing
+        (True, ((F(-1), F(2)), (F(-1),))),  # a negative weight
+        (True, ((F(1), F(1)), (F(1),))),  # weights that miss the target
+        (True, ((F(0), F(2)), (F(1),))),  # a form value the weights miss
+        (True, ((F(0), F(2)), ())),  # a form value missing
     ], ids=["negative", "target", "value", "count"])
     def test_recheck_failures_raise(self, monkeypatch, fake):
         monkeypatch.setattr(_exactlp, "_lexicographic", lambda g, t, f: fake)

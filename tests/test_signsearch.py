@@ -410,17 +410,30 @@ class CallCounter:
 
 
 @pytest.fixture
-def cone_calls(monkeypatch):
-    counter = CallCounter(signsearch.cone_membership)
-    monkeypatch.setattr(signsearch, "cone_membership", counter)
-    return counter.calls
+def simplex_calls(monkeypatch):
+    """signsearch's ``lexicographic_point`` calls, split into cone tests
+    (no forms), recorded as (gens, target), and witness LPs."""
+    cone, lex = [], []
+    simplex = signsearch.lexicographic_point
+
+    def recorded(gens, target, forms):
+        if forms:
+            lex.append((gens, target, forms))
+        else:
+            cone.append((gens, target))
+        return simplex(gens, target, forms)
+    monkeypatch.setattr(signsearch, "lexicographic_point", recorded)
+    return cone, lex
 
 
 @pytest.fixture
-def lex_calls(monkeypatch):
-    counter = CallCounter(signsearch.lexicographic_point)
-    monkeypatch.setattr(signsearch, "lexicographic_point", counter)
-    return counter.calls
+def cone_calls(simplex_calls):
+    return simplex_calls[0]
+
+
+@pytest.fixture
+def lex_calls(simplex_calls):
+    return simplex_calls[1]
 
 
 @pytest.fixture
