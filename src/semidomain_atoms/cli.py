@@ -46,7 +46,8 @@ from .monoid import (AlgebraicNumberSpec, AtLeast, Count, Finite, Infinite,
                      PairResult, TransformScaling, UnsupportedInputError,
                      _degree2_poly, analyze, classify_degree2,
                      verify_certificate)
-from .oracle import OracleCaps, StrongUpTo, strong_check_oracle
+from .oracle import (NonStrong, OracleCaps, StrongUpTo, reduce_element,
+                     strong_check_oracle)
 from .polycore import IntPoly, RatPoly, substitute_power
 from .rootcount import isolate_positive_roots, positive_root_count
 from .signsearch import (Caps, MonicAtomPattern, SingleNegativeAt,
@@ -424,16 +425,51 @@ def _cmd_transform(ctx: _Ctx) -> int:
     return _exit_for(res)
 
 
+def _parse_powers(text: str, max_power: int) -> list[int]:
+    powers = []
+    for item in text.split(","):
+        try:
+            e = int(item)
+        except ValueError:
+            raise ValueError(
+                f"--powers: {item.strip()!r} is not an integer") from None
+        if not 0 <= e <= max_power:
+            raise ValueError(
+                f"--powers: exponent {e} is outside [0, {max_power}] "
+                "(see --max-power)")
+        powers.append(e)
+    return powers
+
+
+def _verify_oracle(verdict: NonStrong, k: int, m: IntPoly) -> None:
+    """Re-check a second factorization by re-summing power coordinates."""
+    exps = verdict.factorization.exponents
+    total = [0] * m.degree
+    for e in exps:
+        part = reduce_element(IntPoly.monomial(1, e), m).coords
+        total = [t + c for t, c in zip(total, part)]
+    target = reduce_element(IntPoly.monomial(verdict.n, k), m).coords
+    if tuple(total) != target:
+        raise RuntimeError(
+            f"oracle factorization {list(exps)} does not sum to "
+            f"{verdict.n}*alpha^{k}")
+    if exps == (k,) * verdict.n:
+        raise RuntimeError(
+            f"oracle factorization {list(exps)} is the trivial one")
+
+
 def _cmd_oracle(ctx: _Ctx) -> int:
     args = ctx.args
     m = parse_polynomial(args.polynomial)
     caps = OracleCaps(max_power=args.max_power, max_total=args.max_total)
     allowed = None
     if args.powers:
-        allowed = [int(p) for p in args.powers.split(",")]
+        allowed = _parse_powers(args.powers, caps.max_power)
     verdict = strong_check_oracle(args.k, m, args.n_max, caps,
                                   use_pruning=not args.no_prune,
                                   allowed_powers=allowed)
+    if args.verify and isinstance(verdict, NonStrong):
+        _verify_oracle(verdict, args.k, m)
     if isinstance(verdict, StrongUpTo):
         payload_verdict = {"kind": "strong-up-to", "n_max": verdict.n_max}
         lines = [f"modulus: {m}",

@@ -6,7 +6,12 @@ the nonnegative-coefficient values of a positive algebraic number are
 represented exactly: reducing a polynomial modulo the (monic) modulus
 gives integer coordinates in the power basis 1, alpha, ..., alpha^(d-1),
 and two polynomials name the same element exactly when their reduced
-coordinates agree.
+coordinates agree.  That holds only when the modulus is the minimal
+polynomial of alpha: modulo a proper multiple of it, distinct
+coordinates can name one value (alpha = 2 is a root of x^2 - x - 2,
+and 2 = alpha there although (2, 0) != (0, 1)).  So the oracle accepts
+a monic modulus only once ``certify_irreducible`` proves it irreducible,
+and raises ``ValueError`` naming the factor or the reason otherwise.
 
 ``enumerate_factorizations`` lists every way to write a target element
 as a multiset of generator powers (bounded exponent, bounded multiset
@@ -18,9 +23,15 @@ unpruned routes return identical lists.
 
 ``strong_check_oracle`` uses that enumeration to test whether small
 multiples of a power admit any representation other than the trivial
-one.  Interpreting a hit as a genuine second factorization is only
+one.  The modulus check, the root isolation, the power coordinates and
+the value brackets depend on the modulus and the alphabet but not on
+the multiple, so one call builds them once and searches every n over
+them.  Interpreting a hit as a genuine second factorization is only
 valid when the powers it uses are atoms; callers restrict the power
-alphabet accordingly via ``allowed_powers``.
+alphabet accordingly via ``allowed_powers``.  The CLI's ``oracle
+--verify`` re-checks a ``NonStrong`` answer apart from the search: the
+coordinates of its powers, from ``reduce_element``, must sum to those
+of n * alpha^k, and it must not be n copies of alpha^k.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+from .irreducibility import Irreducible, Reducible, certify_irreducible
 from .polycore import IntPoly, reduce_mod
 from .rootcount import RootInterval, isolate_positive_roots
 
@@ -92,12 +104,27 @@ def reduce_element(p: IntPoly, m: IntPoly) -> MonoidElement:
     return MonoidElement(cs + (0,) * (m.degree - len(cs)))
 
 
+def _require_irreducible(m: IntPoly) -> None:
+    verdict = certify_irreducible(m)
+    if isinstance(verdict, Irreducible):
+        return
+    if isinstance(verdict, Reducible):
+        why = f"{m} has the factor {verdict.factor}"
+    else:
+        why = f"{m} is not certified irreducible ({verdict.reason})"
+    raise ValueError(
+        f"the oracle requires an irreducible modulus: {why} "
+        "(power-basis coordinates name elements only modulo the minimal "
+        "polynomial)")
+
+
 class _Context:
     """Deduplicated power alphabet with disjoint exact value brackets."""
 
     def __init__(self, m: IntPoly, max_power: int,
                  allowed_powers: Optional[Iterable[int]]) -> None:
         _require_monic(m)
+        _require_irreducible(m)
         self.m = m
         self.dim = m.degree
         roots = isolate_positive_roots(m)
@@ -124,7 +151,8 @@ class _Context:
         """Refine until power brackets are pairwise disjoint.
 
         Distinct elements have distinct real values (the value map is
-        injective on elements), so refinement terminates.
+        injective on elements, as m is irreducible), so refinement
+        terminates.
         """
         lo, hi = interval.lo, interval.hi
         for _ in range(2000):
@@ -176,6 +204,13 @@ def enumerate_factorizations(target: Union[MonoidElement, IntPoly],
         raise ValueError(
             f"target has {len(target.coords)} coordinates; expected "
             f"{ctx.dim}")
+    return _search(ctx, target.coords, caps.max_total, use_pruning)
+
+
+def _search(ctx: _Context, target: tuple[int, ...], max_total: int,
+            use_pruning: bool) -> tuple[FactorizationMultiset, ...]:
+    """Depth-first search for ``enumerate_factorizations`` over a built
+    context; target is a coordinate vector of the context's dimension."""
     order = ctx.order
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
@@ -208,7 +243,7 @@ def enumerate_factorizations(target: Union[MonoidElement, IntPoly],
         if pushed:
             del chosen[-pushed:]
 
-    go(0, target.coords, caps.max_total)
+    go(0, target, max_total)
     return tuple(FactorizationMultiset(f) for f in sorted(found))
 
 
@@ -242,12 +277,13 @@ def strong_check_oracle(k: int, m: IntPoly, n_max: int,
         raise ValueError("need 0 <= k <= caps.max_power")
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    _require_monic(m)
+    ctx = _Context(m, caps.max_power, allowed_powers)
+    # Reduction modulo m is linear, so n * alpha^k has n times the
+    # coordinates of alpha^k.
+    base = reduce_element(IntPoly.monomial(1, k), m).coords
     for n in range(2, n_max + 1):
-        target = IntPoly.monomial(n, k)
-        facts = enumerate_factorizations(
-            target, m, caps, use_pruning=use_pruning,
-            allowed_powers=allowed_powers)
+        facts = _search(ctx, tuple(n * c for c in base), caps.max_total,
+                        use_pruning)
         trivial = tuple([k] * n)
         for f in facts:
             if f.exponents != trivial:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from semidomain_atoms import IntPoly, cli
+from semidomain_atoms import FactorizationMultiset, IntPoly, NonStrong, cli
 from semidomain_atoms.cli import (PolynomialParseError, main,
                                   parse_polynomial)
 
@@ -311,6 +311,47 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", "x^2-3x+1", "--k", "9",
                            "--max-power", "4")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize("modulus", ["x^2-x-2", "x^2-4", "x^2-1",
+                                         "x^3-x", "x^4-1"])
+    def test_reducible_modulus(self, capsys, modulus):
+        code, out, err = run(capsys, "oracle", modulus, "--k", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: the oracle requires an irreducible")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("powers,why", [
+        ("a,b", "--powers: 'a' is not an integer"),
+        ("-1,2", "--powers: exponent -1 is outside [0, 8]"),
+        ("0,9", "--powers: exponent 9 is outside [0, 8]"),
+    ])
+    def test_bad_powers(self, capsys, powers, why):
+        code, out, err = run(capsys, "oracle", "x^2-3x+1", "--k", "1",
+                             f"--powers={powers}")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {why}")
+
+    def test_verify_accepts_a_true_answer(self, capsys):
+        code, doc = run_json(capsys, "oracle", "x^2-3x+1", "--k", "1",
+                             "--n-max", "3", "--verify", "--json")
+        assert code == 0
+        assert doc["verdict"]["factorization"] == [0, 2]
+
+    @pytest.mark.parametrize("exponents", [(0, 1), (1, 1, 1)])
+    def test_verify_rejects_a_wrong_answer(self, capsys, monkeypatch,
+                                           exponents):
+        # 3*alpha = 1 + alpha^2 modulo x^2 - 3x + 1; (0, 1) sums to
+        # something else and (1, 1, 1) is the trivial factorization.
+        wrong = NonStrong(3, FactorizationMultiset(exponents))
+        monkeypatch.setattr(cli, "strong_check_oracle",
+                            lambda *args, **kwargs: wrong)
+        code, _, _ = run(capsys, "oracle", "x^2-3x+1", "--k", "1")
+        assert code == 0
+        code, out, err = run(capsys, "oracle", "x^2-3x+1", "--k", "1",
+                             "--verify")
+        assert code == 1 and out == ""
+        assert err.startswith("error: internal check failed: oracle "
+                              "factorization")
 
 
 class TestRootsCommand:

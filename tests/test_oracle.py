@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
-from semidomain_atoms import (FactorizationMultiset, IntPoly, MonoidElement,
-                              NonStrong, OracleCaps, StrongUpTo,
-                              enumerate_factorizations, reduce_element,
+from semidomain_atoms import (FactorizationMultiset, Irreducible, IntPoly,
+                              MonoidElement, NonStrong, OracleCaps,
+                              StrongUpTo, Unknown, certify_irreducible,
+                              enumerate_factorizations,
+                              isolate_positive_roots, reduce_element,
                               strong_check_oracle)
+from semidomain_atoms import oracle
 
 from conftest import BINOMIAL, CUBE, GOLDEN, P, TWO_ROOTS
 
@@ -12,6 +17,12 @@ SMALL = OracleCaps(max_power=5, max_total=6)
 
 def facts(*exps):
     return tuple(FactorizationMultiset(e) for e in exps)
+
+
+# Monic moduli that are not irreducible: power-basis coordinates do not
+# name elements modulo them.
+REDUCIBLE = [P(-2, -1, 1), P(-4, 0, 1), P(-1, 0, 1), P(0, -1, 0, 1),
+             P(-1, 0, 0, 0, 1)]
 
 
 def coords_sum(m, factorization):
@@ -165,3 +176,83 @@ class TestStrongCheck:
             a = strong_check_oracle(k, TWO_ROOTS, 3, SMALL, use_pruning=True)
             b = strong_check_oracle(k, TWO_ROOTS, 3, SMALL, use_pruning=False)
             assert a == b
+
+
+class TestIrreducibleModulus:
+    # x^2 - x - 2 has alpha = 2, where 2*alpha^0 = alpha^1; x^2 - 4 hides
+    # the same relation at n = 2; x^2 - 1, x^3 - x and x^4 - 1 have
+    # alpha = 1, where no refinement separates the power values.
+    @pytest.mark.parametrize("m", REDUCIBLE)
+    def test_strong_check_refuses_reducible(self, m):
+        with pytest.raises(ValueError, match="irreducible.*factor"):
+            strong_check_oracle(0, m, 8)
+
+    @pytest.mark.parametrize("m", REDUCIBLE)
+    def test_enumerate_refuses_reducible(self, m):
+        with pytest.raises(ValueError, match="irreducible.*factor"):
+            enumerate_factorizations(P(2), m, SMALL)
+
+    def test_unknown_names_the_reason(self, monkeypatch):
+        monkeypatch.setattr(oracle, "certify_irreducible",
+                            lambda m: Unknown("factor search budget spent"))
+        with pytest.raises(ValueError, match="factor search budget spent"):
+            strong_check_oracle(0, TWO_ROOTS, 3, SMALL)
+
+
+def per_n_route(k, m, n_max, caps, use_pruning, allowed):
+    """Reference: one enumerate_factorizations call, and so one context,
+    for each n."""
+    for n in range(2, n_max + 1):
+        trivial = (k,) * n
+        for f in enumerate_factorizations(IntPoly.monomial(n, k), m, caps,
+                                          use_pruning=use_pruning,
+                                          allowed_powers=allowed):
+            if f.exponents != trivial:
+                return NonStrong(n, f)
+    return StrongUpTo(n_max)
+
+
+class TestOneContextPerCall:
+    def test_roots_isolated_once(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return isolate_positive_roots(m)
+
+        monkeypatch.setattr(oracle, "isolate_positive_roots", counting)
+        assert strong_check_oracle(0, TWO_ROOTS, 6, SMALL) == StrongUpTo(6)
+        if len(calls) != 1:
+            raise AssertionError(f"{len(calls)} root isolations, wanted 1")
+
+    def test_matches_the_per_n_route(self):
+        rng = random.Random(20261019)
+        caps = OracleCaps(max_power=5, max_total=6)
+        kinds = set()
+        cases = 0
+        while cases < 80:
+            degree = rng.randint(2, 4)
+            m = IntPoly(tuple(rng.randint(-4, 4) for _ in range(degree))
+                        + (1,))
+            if m.coeffs[0] == 0 or not isolate_positive_roots(m):
+                continue
+            if not isinstance(certify_irreducible(m), Irreducible):
+                continue
+            cases += 1
+            k = rng.randint(0, caps.max_power)
+            n_max = rng.randint(2, 5)
+            allowed = (None if rng.random() < 0.25 else
+                       sorted(rng.sample(range(caps.max_power + 1),
+                                         rng.randint(1, caps.max_power + 1))))
+            for use_pruning in (True, False):
+                got = strong_check_oracle(k, m, n_max, caps,
+                                          use_pruning=use_pruning,
+                                          allowed_powers=allowed)
+                want = per_n_route(k, m, n_max, caps, use_pruning, allowed)
+                if got != want:
+                    raise AssertionError(
+                        f"{m}, k={k}, n_max={n_max}, allowed={allowed}, "
+                        f"pruning={use_pruning}: {got!r} != {want!r}")
+                kinds.add(type(got))
+        if kinds != {NonStrong, StrongUpTo}:
+            raise AssertionError(f"sample reached only {kinds}")
