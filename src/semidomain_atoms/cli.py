@@ -44,7 +44,7 @@ from .irreducibility import (FactorSearchCaps, Irreducible, Reducible,
                              certify_irreducible)
 from .monoid import (AlgebraicNumberSpec, AtLeast, Count, Finite, Infinite,
                      PairResult, TransformScaling, UnsupportedInputError,
-                     _degree2_poly, analyze, classify_degree2,
+                     _FORMS, _degree2_poly, analyze, classify_degree2,
                      verify_certificate)
 from .oracle import (NonStrong, OracleCaps, StrongUpTo, reduce_element,
                      strong_check_oracle)
@@ -334,23 +334,19 @@ def _cmd_analyze(ctx: _Ctx) -> int:
     return _exit_for(res)
 
 
+# Keys are lower-case: the lookup lower-cases the given form first.
 _FORM_ALIASES = {
-    "allpositive": "AllPositive", "+++": "AllPositive", "ppp": "AllPositive",
-    "posposneg": "PosPosNeg", "pos-pos-neg": "PosPosNeg",
-    "++-": "PosPosNeg", "ppn": "PosPosNeg",
+    **{form.lower(): form for form in _FORMS},
+    "all-positive": "AllPositive", "+++": "AllPositive", "ppp": "AllPositive",
+    "pos-pos-neg": "PosPosNeg", "++-": "PosPosNeg", "ppn": "PosPosNeg",
     "pos-neg-pos": "PosNegPos", "+-+": "PosNegPos", "pnp": "PosNegPos",
     "pos-neg-neg": "PosNegNeg", "+--": "PosNegNeg", "pnn": "PosNegNeg",
-    "all-positive": "AllPositive",
 }
 
 
 def _cmd_classify2(ctx: _Ctx) -> int:
     args = ctx.args
-    key = args.form.lower()
-    form = _FORM_ALIASES.get(key)
-    if form is None and args.form in ("AllPositive", "PosPosNeg",
-                                      "PosNegPos", "PosNegNeg"):
-        form = args.form
+    form = _FORM_ALIASES.get(args.form.lower())
     if form is None:
         raise UnsupportedInputError(
             f"unknown form {args.form!r}; use one of all-positive, "

@@ -472,6 +472,14 @@ def _degree2_dispatch(spec: AlgebraicNumberSpec) -> Optional[PairResult]:
 # General counting.
 
 
+def _non_atomicity(atomicity: NotAtomic, caps: Caps) -> MultiplierWitness:
+    """The certificate that 1 decomposes, so that no power is an atom."""
+    wit = atomicity.witness
+    return MultiplierWitness("non-atomicity", wit.multiplier, wit.product,
+                             UnitRepresentation(caps.max_witness_deg,
+                                                unit_only=True))
+
+
 def count_atoms(spec: AlgebraicNumberSpec, caps: Caps = Caps(),
                 atomicity: Optional[AtomicityVerdict] = None
                 ) -> tuple[Count, tuple[Certificate, ...]]:
@@ -489,11 +497,7 @@ def count_atoms(spec: AlgebraicNumberSpec, caps: Caps = Caps(),
     if atomicity is None:
         atomicity = atomicity_check(spec, caps)
     if isinstance(atomicity, NotAtomic):
-        wit = atomicity.witness
-        cert = MultiplierWitness("non-atomicity", wit.multiplier, wit.product,
-                                 UnitRepresentation(caps.max_witness_deg,
-                                                    unit_only=True))
-        return Finite(0), (cert,)
+        return Finite(0), (_non_atomicity(atomicity, caps),)
     if isinstance(atomicity, UndecidedAtomicity):
         return AtLeast(0), ()
     certs: tuple[Certificate, ...] = (atomicity.certificate,)
@@ -527,19 +531,24 @@ def count_strong_atoms(spec: AlgebraicNumberSpec, caps: Caps = Caps(),
 
     The strong atoms are the powers below the first non-strong one.
     With three positive roots no single-negative pattern ever fits, so
-    every power is strong.  When the atom count is finite the answer is
-    the smallest product degree admitting the strong-prefix pattern (a
-    rational question).  Otherwise powers are scanned upward: a power is
-    certified strong by the Descartes prune and certified non-strong by
-    an integer witness — the witness direction is only sound when every
-    power is known to be an atom, which the Infinite atom verdict
-    supplies.
+    every power is strong.  When 1 decomposes no power is an atom, so
+    none is a strong atom either.  When the atom count is finite the
+    answer is the smallest product degree admitting the strong-prefix
+    pattern (a rational question).  Otherwise powers are scanned
+    upward: a power is certified strong by the Descartes prune and
+    certified non-strong by an integer witness — the witness direction
+    is only sound when every power is known to be an atom, which the
+    Infinite atom verdict supplies.
     """
     m = spec.minimal_polynomial
     mult_roots = positive_root_count(m, with_multiplicity=True)
     if mult_roots >= 3:
         cert = DescartesBound("three-positive-conjugates", mult_roots, 2)
         return Infinite("three-positive-roots"), (cert,)
+    if atomicity is None and (atoms is None or atoms == Finite(0)):
+        atomicity = atomicity_check(spec, caps)
+    if isinstance(atomicity, NotAtomic):
+        return Finite(0), (_non_atomicity(atomicity, caps),)
     if atoms is None:
         atoms, _ = count_atoms(spec, caps, atomicity)
     if isinstance(atoms, Finite):
@@ -600,11 +609,8 @@ def analyze(spec: AlgebraicNumberSpec, caps: Caps = Caps(), *,
             "out of scope")
     atomicity = atomicity_check(spec, caps)
     if isinstance(atomicity, NotAtomic):
-        wit = atomicity.witness
-        cert = MultiplierWitness("non-atomicity", wit.multiplier, wit.product,
-                                 UnitRepresentation(caps.max_witness_deg,
-                                                    unit_only=True))
-        return PairResult(Finite(0), Finite(0), (cert,))
+        return PairResult(Finite(0), Finite(0),
+                          (_non_atomicity(atomicity, caps),))
     if not general_only:
         for detector in (binomial_check, _degree2_dispatch, ufm_check):
             hit = detector(spec)
@@ -624,10 +630,6 @@ def analyze(spec: AlgebraicNumberSpec, caps: Caps = Caps(), *,
 # Certificate re-checking.
 
 
-def _to_rat(p) -> RatPoly:
-    return p.to_rat() if isinstance(p, IntPoly) else p
-
-
 def verify_certificate(cert: Certificate, m: IntPoly) -> bool:
     """Re-check a certificate against the modulus from first principles.
 
@@ -635,8 +637,8 @@ def verify_certificate(cert: Certificate, m: IntPoly) -> bool:
     rather than raising when a check fails.
     """
     if isinstance(cert, MultiplierWitness):
-        product = _to_rat(cert.multiplier) * m.to_rat()
-        if product != _to_rat(cert.product):
+        product = cert.multiplier.to_rat() * m.to_rat()
+        if product != cert.product.to_rat():
             return False
         return pattern_matches(cert.pattern, cert.product)
     if isinstance(cert, DescartesBound):

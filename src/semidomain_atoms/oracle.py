@@ -123,6 +123,15 @@ class _Context:
 
     def __init__(self, m: IntPoly, max_power: int,
                  allowed_powers: Optional[Iterable[int]]) -> None:
+        allowed = set(range(max_power + 1))
+        if allowed_powers is not None:
+            requested = list(allowed_powers)
+            for e in requested:
+                if (isinstance(e, bool) or not isinstance(e, int)
+                        or e not in allowed):
+                    raise ValueError(f"allowed power {e!r} is not an "
+                                     f"integer in [0, {max_power}]")
+            allowed = set(requested)
         _require_monic(m)
         _require_irreducible(m)
         self.m = m
@@ -130,8 +139,6 @@ class _Context:
         roots = isolate_positive_roots(m)
         if not roots:
             raise ValueError(f"{m} has no positive real root")
-        allowed = (set(range(max_power + 1)) if allowed_powers is None
-                   else {e for e in allowed_powers if 0 <= e <= max_power})
         coords: dict[int, tuple[int, ...]] = {}
         cur = IntPoly.one()
         for e in range(max_power + 1):

@@ -5,6 +5,10 @@ coefficient of x**i, and the zero polynomial is the empty tuple.
 :class:`IntPoly` carries arbitrary-precision Python integers;
 :class:`RatPoly` carries :class:`fractions.Fraction` values, which are
 always in lowest terms with positive denominator by construction.
+The two types share one implementation of the ring operations, the
+structure accessors and the formatting; each adds only its constructor,
+its ``repr`` and its own helpers.  Both answer ``to_rat()``: an
+``IntPoly`` converts, a ``RatPoly`` returns itself.
 
 Both types are immutable and hashable, and every operation here is a
 pure function of its inputs, so values can be shared freely (including
@@ -33,31 +37,145 @@ __all__ = [
 ]
 
 
-def _fmt(coeffs: tuple, var: str = "x") -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        if i == 0:
-            body = f"{mag}"
-        elif i == 1:
-            body = f"{var}" if mag == 1 else f"{mag}{var}"
-        else:
-            body = f"{var}^{i}" if mag == 1 else f"{mag}{var}^{i}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+class _Frozen:
+    """Slotted immutable value, copied and pickled through its constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # Copy and pickle through the constructor: the default route
+        # restores the slots with setattr, which immutability refuses.
+        return (type(self), self._args())
+
+    def _args(self) -> tuple:
+        """Constructor arguments that rebuild this value."""
+        raise NotImplementedError
 
 
-class IntPoly:
+class _Poly(_Frozen):
+    """Ring operations shared by :class:`IntPoly` and :class:`RatPoly`.
+
+    Both operands of a binary operation must have the same type: an
+    ``IntPoly`` and a ``RatPoly`` never compare equal, and mixing them
+    in arithmetic raises ``TypeError``.  Subclasses set ``_zero``, the
+    coefficient zero, and ``_scalars``, the scalar types ``*`` accepts.
+    """
+
+    __slots__ = ("coeffs",)
+    _zero: Scalar
+    _scalars: tuple[type, ...]
+
+    def _args(self) -> tuple:
+        return (self.coeffs,)
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    # -- structure ---------------------------------------------------
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    @property
+    def lead(self) -> Scalar:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    @property
+    def constant(self) -> Scalar:
+        return self.coeffs[0] if self.coeffs else self._zero
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.coeffs))
+
+    def __str__(self) -> str:
+        parts = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            mag = -c if c < 0 else c
+            if i == 0:
+                body = f"{mag}"
+            elif i == 1:
+                body = "x" if mag == 1 else f"{mag}x"
+            else:
+                body = f"x^{i}" if mag == 1 else f"{mag}x^{i}"
+            parts.append(("-" if c < 0 else "+", body))
+        if not parts:
+            return "0"
+        first_sign, first_body = parts[0]
+        out = ("-" if first_sign == "-" else "") + first_body
+        for sign, body in parts[1:]:
+            out += f" {sign} {body}"
+        return out
+
+    # -- arithmetic --------------------------------------------------
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        cls = type(self)
+        if type(other) is cls:
+            a, b = self.coeffs, other.coeffs
+            if not a or not b:
+                return cls(())
+            out = [self._zero] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in enumerate(b):
+                        if cb:
+                            out[i + j] += ca * cb
+            return cls(out)
+        if isinstance(other, cls._scalars) and not isinstance(other, bool):
+            return cls(tuple(other * c for c in self.coeffs))
+        return NotImplemented
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __call__(self, x: Scalar) -> Scalar:
+        acc = self._zero
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self):
+        return type(self)(tuple(i * c for i, c in enumerate(self.coeffs)
+                                if i > 0))
+
+
+class IntPoly(_Poly):
     """Dense polynomial with integer coefficients.
 
     ``IntPoly((-2, 4, -8, 1))`` is x^3 - 8x^2 + 4x - 2.  Trailing zero
@@ -65,7 +183,9 @@ class IntPoly:
     an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _zero = 0
+    _scalars = (int,)
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         cs = []
@@ -77,19 +197,8 @@ class IntPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
-
-    def __reduce__(self):
-        # Copy and pickle through the constructor: the default route
-        # restores the slot with setattr, which immutability refuses.
-        return (type(self), (self.coeffs,))
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls(())
+    def __repr__(self) -> str:
+        return f"IntPoly({self.coeffs!r})"
 
     @classmethod
     def one(cls) -> "IntPoly":
@@ -105,23 +214,6 @@ class IntPoly:
             raise ValueError("power must be >= 0")
         return cls((0,) * power + (coeff,))
 
-    # -- structure ---------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def constant(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
-
     @property
     def ord(self) -> int:
         """Multiplicity of the root 0, i.e. the lowest power with support."""
@@ -136,61 +228,6 @@ class IntPoly:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coeffs) if c)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("IntPoly", self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"IntPoly({self.coeffs!r})"
-
-    def __str__(self) -> str:
-        return _fmt(self.coeffs)
-
-    # -- arithmetic --------------------------------------------------
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, IntPoly):
-            a, b = self.coeffs, other.coeffs
-            if not a or not b:
-                return IntPoly.zero()
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        if cb:
-                            out[i + j] += ca * cb
-            return IntPoly(out)
-        if isinstance(other, int) and not isinstance(other, bool):
-            return IntPoly(tuple(other * c for c in self.coeffs))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
             raise ValueError("negative power")
@@ -203,12 +240,6 @@ class IntPoly:
             n >>= 1
         return out
 
-    def __call__(self, x: Scalar) -> Scalar:
-        acc: Scalar = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def shifted(self, k: int) -> "IntPoly":
         """Multiply by x**k (k >= 0), or divide exactly by x**-k (k < 0)."""
         if k >= 0:
@@ -218,17 +249,16 @@ class IntPoly:
             raise ValueError("not divisible by x**%d" % drop)
         return IntPoly(self.coeffs[drop:])
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
     def to_rat(self) -> "RatPoly":
         return RatPoly(tuple(Fraction(c) for c in self.coeffs))
 
 
-class RatPoly:
+class RatPoly(_Poly):
     """Dense polynomial with rational coefficients, ascending by degree."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _zero = Fraction(0)
+    _scalars = (int, Fraction)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
@@ -236,93 +266,12 @@ class RatPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
-
-    def __reduce__(self):
-        # Copy and pickle through the constructor: the default route
-        # restores the slot with setattr, which immutability refuses.
-        return (type(self), (self.coeffs,))
-
-    @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls(())
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("RatPoly", self.coeffs))
-
     def __repr__(self) -> str:
         return f"RatPoly({tuple(str(c) for c in self.coeffs)!r})"
 
-    def __str__(self) -> str:
-        return _fmt(self.coeffs)
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, RatPoly):
-            a, b = self.coeffs, other.coeffs
-            if not a or not b:
-                return RatPoly.zero()
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        if cb:
-                            out[i + j] += ca * cb
-            return RatPoly(out)
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return RatPoly(tuple(other * c for c in self.coeffs))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+    def to_rat(self) -> "RatPoly":
+        """This polynomial itself, so either type answers ``to_rat()``."""
+        return self
 
     def is_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -388,8 +337,7 @@ class MinimalPair:
 
 def minimal_pair(f: Union[IntPoly, RatPoly]) -> MinimalPair:
     """Minimal pair of a nonzero polynomial (see :class:`MinimalPair`)."""
-    rf = f.to_rat() if isinstance(f, IntPoly) else f
-    r, prim = rf.primitive_part()
+    r, prim = f.to_rat().primitive_part()
     p = IntPoly(tuple(c if c > 0 else 0 for c in prim.coeffs))
     q = IntPoly(tuple(-c if c < 0 else 0 for c in prim.coeffs))
     return MinimalPair(r, p, q)

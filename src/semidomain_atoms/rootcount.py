@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .polycore import IntPoly, RatPoly, divmod_rat, gcd_rat
+from .polycore import IntPoly, RatPoly, _Frozen, divmod_rat, gcd_rat
 
 __all__ = [
     "sign_variations",
@@ -52,13 +52,13 @@ def sign_variations(f: AnyPoly) -> int:
     return _variations(_signs(f.coeffs))
 
 
-class SturmChain:
+class SturmChain(_Frozen):
     """Canonical Sturm chain of a nonzero polynomial."""
 
     __slots__ = ("polys",)
 
     def __init__(self, f: AnyPoly) -> None:
-        rf = f.to_rat() if isinstance(f, IntPoly) else f
+        rf = f.to_rat()
         if not rf:
             raise ValueError("Sturm chain of the zero polynomial")
         chain = [rf]
@@ -72,13 +72,8 @@ class SturmChain:
                 chain.append(-r)
         object.__setattr__(self, "polys", tuple(chain))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SturmChain is immutable")
-
-    def __reduce__(self):
-        # Copy and pickle through the constructor: the default route
-        # restores the slot with setattr, which immutability refuses.
-        return (type(self), (self.polys[0],))
+    def _args(self) -> tuple:
+        return (self.polys[0],)
 
     def variations_at(self, x: Fraction) -> int:
         return _variations(_signs(p(x) for p in self.polys))
@@ -110,8 +105,9 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     """Primitive squarefree part of a nonzero polynomial, positive lead."""
     if not f:
         raise ValueError("zero polynomial")
-    g = gcd_rat(f.to_rat(), f.to_rat().derivative())
-    q, r = divmod_rat(f.to_rat(), g)
+    rf = f.to_rat()
+    g = gcd_rat(rf, rf.derivative())
+    q, r = divmod_rat(rf, g)
     if r:
         raise RuntimeError("squarefree_part: gcd(f, f') does not divide f")
     _, prim = q.primitive_part()
@@ -150,7 +146,7 @@ def positive_root_count(f: AnyPoly, with_multiplicity: bool = False) -> int:
     return _positive_root_count(f, with_multiplicity)
 
 
-class RootInterval:
+class RootInterval(_Frozen):
     """Half-open rational interval (lo, hi] containing exactly one real root."""
 
     __slots__ = ("lo", "hi", "polynomial", "_chain")
@@ -166,11 +162,8 @@ class RootInterval:
         if self._chain.count_in(self.lo, self.hi) != 1:
             raise ValueError(f"({lo}, {hi}] does not isolate one root of {polynomial}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RootInterval is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.lo, self.hi, self.polynomial, self._chain))
+    def _args(self) -> tuple:
+        return (self.lo, self.hi, self.polynomial, self._chain)
 
     def __repr__(self) -> str:
         return f"RootInterval(({self.lo}, {self.hi}], {self.polynomial})"
@@ -188,7 +181,10 @@ class RootInterval:
         return self.hi - self.lo
 
     def refined(self, max_width: Fraction) -> "RootInterval":
-        """Bisect until the width is at most ``max_width``."""
+        """Bisect until the width is at most ``max_width``, which must be
+        positive: halving never reaches width 0."""
+        if not max_width > 0:
+            raise ValueError(f"max_width must be positive, got {max_width}")
         lo, hi = self.lo, self.hi
         while hi - lo > max_width:
             mid = (lo + hi) / 2

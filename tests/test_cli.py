@@ -201,11 +201,13 @@ class TestClassify2Command:
         assert "strong atoms: 1" in out and "atoms: infinite" in out
 
     @pytest.mark.parametrize("alias", ["pos-neg-pos", "+-+", "pnp",
-                                       "PosNegPos"])
+                                       "PosNegPos", "posnegpos",
+                                       "posnegneg"])
     def test_aliases(self, capsys, alias):
         code, doc = run_json(capsys, "classify2", "1", "3", "1", alias,
                              "--json")
-        assert code == 0 and doc["form"] == "PosNegPos"
+        want = "PosNegNeg" if alias == "posnegneg" else "PosNegPos"
+        assert code == 0 and doc["form"] == want
 
     def test_all_four_forms_resolve(self, capsys):
         for args, form in [(("1", "1", "1", "all-positive"), "AllPositive"),

@@ -296,6 +296,19 @@ class TestCountStrongAtoms:
         assert count == Finite(0)
         assert certs[-1].product == BINOMIAL
 
+    @pytest.mark.parametrize("poly", [P(-1, 1, 1), P(-1, 1, 1, 1)])
+    def test_not_atomic_gives_zero(self, poly):
+        # 1 decomposes, so no power is an atom, let alone a strong one.
+        spec = spec_of(poly)
+        count, certs = count_strong_atoms(spec)
+        assert count == Finite(0)
+        (wit,) = certs
+        assert wit.role == "non-atomicity"
+        assert verify_certificate(wit, poly)
+        assert count_strong_atoms(spec, atoms=Finite(0)) == (count, certs)
+        assert count_atoms(spec) == (count, certs)
+        assert analyze(spec) == PairResult(count, count, certs)
+
     def test_undecided_atoms_give_bound(self):
         count, _ = count_strong_atoms(spec_of(P(-1, 1)),
                                       Caps(max_witness_deg=6))
@@ -509,7 +522,15 @@ class TestValueClasses:
     def test_no_instance_dict(self, poly):
         spec = spec_of(poly)
         found = list(_value_objects(analyze(spec)))
-        found += [spec.irreducibility, atomicity_check(spec), Caps()]
+        found += [spec.irreducibility, atomicity_check(spec), Caps(),
+                  spec.root, spec.root._chain]
         assert len(found) > 3
         for obj in found:
             assert not hasattr(obj, "__dict__"), type(obj)
+
+    def test_value_classes_refuse_setattr(self):
+        spec = spec_of(CUBE)
+        for obj in (CUBE, CUBE.to_rat(), spec.root._chain, spec.root):
+            name = type(obj).__name__
+            with pytest.raises(AttributeError, match=f"{name} is immutable"):
+                obj.coeffs = ()

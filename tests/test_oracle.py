@@ -111,6 +111,21 @@ class TestEnumerate:
         only_relation = enumerate_factorizations(P(0, 3), TWO_ROOTS, SMALL,
                                                  allowed_powers={0, 2})
         assert only_relation == facts((0, 2))
+        assert enumerate_factorizations(P(0, 3), TWO_ROOTS, SMALL,
+                                        allowed_powers=iter([1])) \
+            == only_trivial
+
+    @pytest.mark.parametrize("powers,bad", [([-1, 2], "-1"),
+                                            ([1.5, 2], "1.5"),
+                                            ([2, 4], "4"), ([True], "True")])
+    def test_allowed_powers_validated(self, powers, bad):
+        caps = OracleCaps(max_power=3, max_total=6)
+        msg = rf"allowed power {bad} is not an integer in \[0, 3\]"
+        with pytest.raises(ValueError, match=msg):
+            strong_check_oracle(1, GOLDEN, 3, caps, allowed_powers=powers)
+        with pytest.raises(ValueError, match=msg):
+            enumerate_factorizations(P(0, 3), GOLDEN, caps,
+                                     allowed_powers=powers)
 
     @pytest.mark.parametrize("m,target", [
         (TWO_ROOTS, P(0, 3)),

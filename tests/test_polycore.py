@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,9 @@ class TestIntPolyBasics:
         assert not z
         assert z.degree == -1
         assert z == P()
+        assert z.constant == 0 and type(z.constant) is int
+        assert RatPoly.zero().constant == 0
+        assert type(RatPoly.zero().constant) is Fraction
 
     def test_constructors(self):
         assert IntPoly.one() == P(1)
@@ -90,6 +94,7 @@ class TestRatPoly:
         assert isinstance(r, RatPoly)
         assert r.is_integer()
         assert r.to_int() == CUBE
+        assert r.to_rat() is r
 
     def test_arithmetic(self):
         half = RatPoly((Fraction(1, 2), 1))
@@ -113,6 +118,34 @@ class TestRatPoly:
     def test_to_int_requires_integrality(self):
         with pytest.raises(ValueError):
             RatPoly((Fraction(1, 2),)).to_int()
+
+
+class TestOneImplementation:
+    """What the shared base keeps apart: the two types never mix."""
+
+    @pytest.mark.parametrize("coeffs", [(), (1,), (-2, 4, -8, 1), (0, 3)])
+    def test_equal_coefficients_unequal_types(self, coeffs):
+        a, b = IntPoly(coeffs), RatPoly(coeffs)
+        assert a.coeffs == b.coeffs
+        assert a != b and b != a
+        assert hash(a) == hash(("IntPoly", a.coeffs))
+        assert hash(b) == hash(("RatPoly", b.coeffs))
+        assert hash(a) != hash(b)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul])
+    def test_mixed_arithmetic_raises(self, op):
+        for a, b in ((CUBE, CUBE.to_rat()), (CUBE.to_rat(), CUBE)):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+    def test_intpoly_rejects_fraction_scalar(self):
+        with pytest.raises(TypeError):
+            CUBE * Fraction(1, 2)
+        with pytest.raises(TypeError):
+            Fraction(1, 2) * CUBE
+        assert CUBE.to_rat() * Fraction(1, 2) == RatPoly(
+            (-1, 2, -4, Fraction(1, 2)))
 
 
 class TestHelpers:

@@ -107,3 +107,9 @@ class TestIsolation:
         assert small.width <= Fraction(1, 10**6)
         assert small.lo >= iv.lo and small.hi <= iv.hi
         assert SturmChain(CUBE).count_in(small.lo, small.hi) == 1
+
+    @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1), 0])
+    def test_refined_needs_positive_width(self, width):
+        iv = isolate_positive_roots(P(-2, 0, 1))[0]
+        with pytest.raises(ValueError, match="max_width"):
+            iv.refined(width)
